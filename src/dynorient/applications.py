@@ -380,6 +380,7 @@ class MatVecProduct(OrientationListener):
         """Set A[i,j] = A[j,i] = val (integers; zero diagonal enforced)."""
         if i == j:
             raise GraphUpdateError("diagonal entries must stay zero")
+        self.stack.engine._check_pair(i, j)   # before self.a is written
         key = self._key(i, j)
         old = self.a.get(key, 0)
         if old == 0 and val != 0:

@@ -29,6 +29,7 @@ overrides.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional
 
@@ -195,21 +196,12 @@ class OrientationConfig:
     def bucket_index(self, d: int) -> int:
         """Bucket j with (1+slack/64)^j <= d < (1+slack/64)^(j+1).
 
-        Zero maps to the reserved sentinel index -1; the geometric buckets
-        start at d = 1.
+        The rightmost threshold <= d, found by ``bisect_right`` on the
+        sorted table.  Zero (and anything below it) maps to the reserved
+        sentinel index -1, because the geometric buckets start at
+        thresholds[0] = 1.
         """
-        if d <= 0:
-            return -1
-        thresholds = self.bucket_thresholds()
-        # thresholds is sorted; find rightmost threshold <= d.
-        lo, hi = 0, len(thresholds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if thresholds[mid] <= d:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - 1
+        return bisect_right(self.bucket_thresholds(), d) - 1
 
     # ------------------------------------------------------------------
     # Presets.

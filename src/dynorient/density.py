@@ -12,9 +12,10 @@ smallest k whose next set grows by less than a (1+gamma) factor, and returns
 T_(k+1); the density of that set is at least estimate/((1+gamma)(1+eta/b)^k)
 because no vertex of T_k can orient a copy outside T_(k+1).
 
-Degrees are indexed by a Fenwick tree over degree values plus per-degree
-vertex sets, so threshold counting is logarithmic and extraction is linear
-in the output (plus the degree range walked).
+Degrees are indexed by per-degree vertex sets and the tracked maximum, so a
+±1 degree change costs O(1).  Threshold counting and extraction both walk
+the degree range down from the maximum; that cost falls on queries, not on
+updates.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ class DensityReport:
 
 
 class DensityTracker:
-    """Order-statistics index over exact multigraph out-degrees.
+    """Per-degree index over exact multigraph out-degrees.
 
-    Subscribed to the engine's degree stream; answers "how many vertices
-    have out-degree >= t" and tracks the maximum.
+    Subscribed to the engine's degree stream; tracks the maximum and answers
+    "how many / which vertices have out-degree >= t" by walking the degrees
+    from the maximum down to t.
     """
 
     def __init__(self, cfg: OrientationConfig):
@@ -51,11 +53,7 @@ class DensityTracker:
         self.n = n
         self.deg = [0] * n
         self.delta = 0
-        # Fenwick over degree values 1..maxdeg (degree-0 vertices implicit).
-        self.maxdeg = (n - 1) * cfg.b
-        self._fen = [0] * (self.maxdeg + 1)
-        self._in_fen = 0
-        # Per-degree vertex sets for output traversal, insertion-ordered.
+        # Per-degree vertex sets for counting and traversal, insertion-ordered.
         self.members: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
@@ -66,15 +64,11 @@ class DensityTracker:
         old = self.deg[u]
         self.deg[u] = d
         if old > 0:
-            self._fen_add(old, -1)
-            self._in_fen -= 1
             bucket = self.members[old]
             del bucket[u]
             if not bucket:
                 del self.members[old]
         if d > 0:
-            self._fen_add(d, 1)
-            self._in_fen += 1
             self.members.setdefault(d, {})[u] = None
         if d > self.delta:
             self.delta = d
@@ -90,14 +84,15 @@ class DensityTracker:
     # ------------------------------------------------------------------
 
     def count_at_least(self, t) -> int:
-        """Number of vertices with out-degree >= t (t may be a Fraction)."""
+        """Number of vertices with out-degree >= t (t may be a Fraction);
+        linear in the degree range walked."""
         if t <= 0:
             return self.n
         t = -(-t.numerator // t.denominator) if isinstance(t, Fraction) \
             else math.ceil(t)
-        if t > self.maxdeg:
-            return 0
-        return self._in_fen - self._fen_prefix(t - 1)
+        members = self.members
+        return sum(len(members[d]) for d in range(self.delta, t - 1, -1)
+                   if d in members)
 
     def vertices_at_least(self, t) -> list[int]:
         """Vertices with out-degree >= t, degree descending; linear in the
@@ -114,21 +109,6 @@ class DensityTracker:
                 out.extend(bucket)
         return out
 
-    def _fen_add(self, i: int, delta: int) -> None:
-        fen = self._fen
-        n = len(fen)
-        while i < n:
-            fen[i] += delta
-            i += i & (-i)
-
-    def _fen_prefix(self, i: int) -> int:
-        fen = self._fen
-        s = 0
-        while i > 0:
-            s += fen[i]
-            i -= i & (-i)
-        return s
-
     def violations(self, engine) -> list[str]:
         bad = []
         if self.deg != engine.out_deg:
@@ -140,7 +120,7 @@ class DensityTracker:
                 if self.deg[u] != d:
                     bad.append(f"vertex {u} filed under degree {d}")
         total = sum(len(b) for b in self.members.values())
-        if total != self._in_fen or total != self.count_at_least(1):
+        if total != self.count_at_least(1):
             bad.append("density tracker counts are inconsistent")
         return bad
 

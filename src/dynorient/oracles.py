@@ -245,14 +245,12 @@ def exact_density_enum(n: int, edges):
     if not edges:
         return Fraction(0)
     count = _subset_edge_counts(n, edges)
-    best = Fraction(0)
-    for s in range(1, 1 << n):
-        c = count[s]
-        if c:
-            d = Fraction(c, s.bit_count())
-            if d > best:
-                best = d
-    return best
+    # Best c/k so far, compared by integer cross-multiplication.
+    best_c, best_k = 0, 1
+    for s, c in enumerate(count):
+        if c * best_k > best_c * s.bit_count():
+            best_c, best_k = c, s.bit_count()
+    return Fraction(best_c, best_k)
 
 
 def exact_arboricity(n: int, edges) -> int:

@@ -2,11 +2,13 @@
 
 Every simple edge points the way the majority of its b copies point, ties
 toward the lexicographically smaller endpoint.  The engine reports every
-copy-count change; a visible pair whose majority crosses gets reoriented and
-the change is pushed to registered application listeners.  Pairs are
-invisible while their b copies are being placed (the engine announces the
-pair once the copies settle) and from the moment a deletion starts draining
-them, so applications always observe a consistent simple graph.
+copy-count change (a copy flip once, with its final counts: one copy changing
+sides crosses the majority at most once); a visible pair whose majority
+crosses gets reoriented and the change is pushed to registered application
+listeners.  Pairs are invisible while their b copies are being placed (the
+engine announces the pair once the copies settle) and from the moment a
+deletion starts draining them, so applications always observe a consistent
+simple graph.
 
 Listener contract (synchronous, dispatch in registration order): on_insert,
 on_delete, on_flip all receive (tail, head) in the current orientation;

@@ -18,6 +18,9 @@ hottest loops in the package.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+
 from .config import OrientationConfig
 from . import events as ev
 from .errors import (
@@ -46,6 +49,9 @@ class EngineCore:
         self.cfg = cfg
         self.n = n
         self.b = cfg.b
+        # Sorted geometric bucket boundaries in fast mode, None when buckets
+        # are keyed by the exact degree; see _bucket_key.
+        self.thresholds = cfg.bucket_thresholds() if self.fast_mode else None
 
         self.out_deg = [0] * n
         self.out_sz = [0] * n          # ring length = distinct out-neighbors
@@ -255,9 +261,9 @@ class EngineCore:
     # ------------------------------------------------------------------
 
     def _bucket_key(self, perceived: int) -> int:
-        if self.fast_mode:
-            return self.cfg.bucket_index(perceived)
-        return perceived
+        # Same expression as cfg.bucket_index, inlined in the hot callers.
+        th = self.thresholds
+        return perceived if th is None else bisect_right(th, perceived) - 1
 
     def _bn_alloc(self, key: int) -> int:
         free = self._bn_free
@@ -276,7 +282,8 @@ class EngineCore:
     def _bucket_attach(self, v: int, eid: int, perceived: int) -> None:
         """Place entry eid (an in-neighbor record of v) by its key."""
         self.e_perc[eid] = perceived
-        key = self._bucket_key(perceived)
+        th = self.thresholds
+        key = perceived if th is None else bisect_right(th, perceived) - 1
         bn = self.bmap[v].get(key, -1)
         if bn < 0:
             bn = self._bn_alloc(key)
@@ -340,22 +347,27 @@ class EngineCore:
 
         Same-bucket moves only store the value.  Cross-bucket moves locate
         the target relative to the entry's current bucket, so the common
-        adjacent-bucket move costs O(1) splices.
+        adjacent-bucket move costs O(1) splices.  An entry alone in its
+        bucket, moving to a key no bucket holds yet with no bucket lying
+        between the two keys, keeps its node: the node is re-keyed in place,
+        since the chain order is already right.
         """
         bn = self.e_bnode[eid]
         if bn < 0:
             raise CorruptionError("move_bucket on an unattached entry")
+        self.e_perc[eid] = new_perceived
         bn_key = self.bn_key
         old_key = bn_key[bn]
-        new_key = self._bucket_key(new_perceived)
+        th = self.thresholds
+        new_key = (new_perceived if th is None
+                   else bisect_right(th, new_perceived) - 1)
         if new_key == old_key:
-            self.e_perc[eid] = new_perceived
             return
         v = self.e_head[eid]
-        target = self.bmap[v].get(new_key, -1)
+        bmap = self.bmap[v]
+        target = bmap.get(new_key, -1)
         if target < 0:
-            # Splice a fresh bucket node next to the current one before the
-            # detach below can recycle it.
+            # Find the slot for new_key next to the current bucket.
             bn_prev = self.bn_prev
             bn_next = self.bn_next
             if new_key > old_key:
@@ -368,8 +380,15 @@ class EngineCore:
                 while bn_next[p] >= 0 and bn_key[bn_next[p]] > new_key:
                     p = bn_next[p]
                 above, below = p, bn_next[p]
+            if p == bn and self.bk_prev[eid] < 0 and self.bk_next[eid] < 0:
+                del bmap[old_key]
+                bn_key[bn] = new_key
+                bmap[new_key] = bn
+                return
+            # Splice a fresh bucket node into the slot before the detach
+            # below can recycle the current one.
             target = self._bn_alloc(new_key)
-            self.bmap[v][new_key] = target
+            bmap[new_key] = target
             self.bn_prev[target] = above
             self.bn_next[target] = below
             if above >= 0:
@@ -386,7 +405,6 @@ class EngineCore:
             self.bk_prev[head] = eid
         self.bn_head[target] = eid
         self.e_bnode[eid] = target
-        self.e_perc[eid] = new_perceived
 
     def first_in_entry(self, v: int) -> int:
         """Entry id of v's in-neighbor with the largest bucket key, or -1."""
@@ -483,8 +501,10 @@ class EngineCore:
             rec = self.recorder
             if rec is not None:
                 rec.emit(ev.COPY_REMOVED, t, h)
-        if self.rounding is not None:
-            self._notify_counts(pid)
+            # A flip's add half reports the final counts instead: one copy
+            # changing sides can cross the majority at most once.
+            if self.rounding is not None:
+                self._notify_counts(pid)
 
     def _flip_copy(self, eid: int) -> None:
         """Reverse one copy held by entry eid (t->h becomes h->t)."""
@@ -541,6 +561,9 @@ class EngineCore:
         self._p_free.append(pid)
 
     def _check_pair(self, u: int, v: int) -> None:
+        """Reject a bad vertex pair before anything is mutated."""
+        operator.index(u)
+        operator.index(v)
         n = self.n
         if not (0 <= u < n and 0 <= v < n):
             raise GraphUpdateError(

@@ -9,6 +9,7 @@ from dynorient import (
     OrientationConfig,
     OrientationStack,
 )
+from dynorient.oracles import audit_state
 
 from conftest import Fuzzer, clique_edges
 
@@ -130,6 +131,18 @@ class TestMatVec:
         stack = _stack(matvec=True)
         with pytest.raises(GraphUpdateError):
             stack.matvec.set_entry(3, 3, 1)
+
+    @pytest.mark.parametrize("i, j, exc", [
+        (3, 12, GraphUpdateError), (-1, 2, GraphUpdateError),
+        (1.0, 2, TypeError)])
+    def test_rejected_entry_leaves_matrix_unchanged(self, i, j, exc):
+        stack = _stack(n=10, matvec=True)
+        mv = stack.matvec
+        mv.set_entry(1, 2, 4)
+        with pytest.raises(exc):
+            mv.set_entry(i, j, 5)
+        assert mv.a == {mv._key(1, 2): 4}
+        assert audit_state(stack) == []
 
     def test_random_updates_match_dense_recomputation(self):
         n = 30

@@ -44,8 +44,14 @@ def test_tracker_matches_true_maximum_under_churn(any_preset_cfg):
     for i in range(1, 1_501):
         fz.step()
         if i % 250 == 0:
-            assert stack.tracker.delta == max(stack.engine.out_deg)
-            assert stack.tracker.violations(stack.engine) == []
+            tracker = stack.tracker
+            assert tracker.delta == max(stack.engine.out_deg)
+            assert tracker.violations(stack.engine) == []
+            d = tracker.delta
+            for t in (-1, 0, 1, 2, Fraction(5, 2), Fraction(d, 2), d - 1, d,
+                      d + Fraction(1, 3), d + 1, 10 * d + 7):
+                assert tracker.count_at_least(t) == \
+                    sum(x >= t for x in tracker.deg), t
 
 
 def test_empty_graph_estimates_zero():

@@ -4,7 +4,11 @@ import pytest
 
 from dynorient import (
     CorruptionError,
+    DuplicateEdgeError,
+    EventHasher,
     EventRecorder,
+    GraphUpdateError,
+    MissingEdgeError,
     OrientationConfig,
     OrientationStack,
 )
@@ -128,6 +132,66 @@ class TestMoveBucket:
             bumped = -((-p * base.numerator) // base.denominator)
             assert cfg.bucket_index(bumped) - cfg.bucket_index(p) <= 2
 
+    @staticmethod
+    def _chain_keys(engine, v):
+        keys = []
+        bn = engine.top_bucket[v]
+        while bn >= 0:
+            keys.append(engine.bn_key[bn])
+            bn = engine.bn_next[bn]
+        return keys
+
+    @staticmethod
+    def _bucket_violations(engine):
+        # A forced move leaves the recorded degree deliberately stale; every
+        # other structural invariant, bucket keys included, must hold.
+        return [b for b in engine.structural_violations()
+                if "recorded degree" not in b]
+
+    def test_singleton_rekeyed_in_place_only_without_bucket_between(self):
+        stack = _stack32()
+        for t in (1, 2, 3):
+            stack.insert(t, 0)     # three in-entries of 0, all at degree 1
+        engine = stack.engine
+        ent = {engine.e_tail[e]: e for e in engine.in_entries(0)}
+        shared = engine.e_bnode[ent[1]]
+        check = self._bucket_violations
+
+        # Out of a shared bucket: a fresh node, the old one stays.
+        engine.move_bucket(ent[1], 5)
+        assert engine.e_bnode[ent[1]] != shared
+        assert self._chain_keys(engine, 0) == [5, 1]
+        assert check(engine) == []
+
+        # Alone, nothing between old and new key: the node is re-keyed.
+        node = engine.e_bnode[ent[1]]
+        nodes = len(engine.bn_key)
+        engine.move_bucket(ent[1], 6)
+        engine.move_bucket(ent[1], 4)
+        assert engine.e_bnode[ent[1]] == node
+        assert sorted(engine.bmap[0]) == [1, 4]
+        assert self._chain_keys(engine, 0) == [4, 1]
+        assert len(engine.bn_key) == nodes
+        assert check(engine) == []
+
+        # Alone, but a bucket lies between: spliced into the right slot.
+        engine.move_bucket(ent[2], 3)
+        assert self._chain_keys(engine, 0) == [4, 3, 1]
+        node = engine.e_bnode[ent[1]]
+        engine.move_bucket(ent[1], 2)
+        assert engine.e_bnode[ent[1]] != node
+        assert self._chain_keys(engine, 0) == [3, 2, 1]
+        assert check(engine) == []
+        engine.move_bucket(ent[3], 5)      # alone upward past two buckets
+        assert self._chain_keys(engine, 0) == [5, 3, 2]
+        assert engine.first_in_entry(0) == ent[3]
+        assert check(engine) == []
+
+        for e in ent.values():
+            engine.move_bucket(e, 1)
+        assert self._chain_keys(engine, 0) == [1]
+        assert audit_state(stack) == []
+
     def test_detached_entry_is_corruption(self):
         stack = OrientationStack(OrientationConfig.fast_additive(16))
         stack.insert(0, 1)
@@ -167,3 +231,33 @@ def test_insert_and_delete_return_their_events():
     kinds = [e.kind for e in evs]
     assert kinds[0] == "simple_deleted"
     assert kinds.count("copy_removed") == cfg.b
+
+
+@pytest.mark.parametrize("op, u, v, exc", [
+    ("insert", 1.0, 2, TypeError),
+    ("insert", 0, "5", TypeError),
+    ("insert", 0, 16, GraphUpdateError),
+    ("insert", -1, 5, GraphUpdateError),
+    ("insert", 4, 4, GraphUpdateError),
+    ("insert", 2, 1, DuplicateEdgeError),
+    ("delete", 1.0, 2, TypeError),
+    ("delete", 0, 16, GraphUpdateError),
+    ("delete", 4, 4, GraphUpdateError),
+    ("delete", 2, 5, MissingEdgeError),
+])
+def test_rejected_update_changes_nothing(op, u, v, exc):
+    hasher = EventHasher()
+    stack = OrientationStack(OrientationConfig.fast_multiplicative(16),
+                             recorder=hasher)
+    stack.attach_matching()
+    stack.attach_coloring()
+    stack.attach_forests()
+    stack.attach_matvec()
+    for e in ((0, 1), (1, 2), (2, 3), (3, 0)):
+        stack.insert(*e)
+    before = (hasher.digest, hasher.count, sorted(stack.engine.edges()))
+    with pytest.raises(exc):
+        getattr(stack, op)(u, v)
+    assert audit_state(stack) == []
+    assert (hasher.digest, hasher.count,
+            sorted(stack.engine.edges())) == before
