@@ -9,6 +9,8 @@ of them unchanged; a deliberate behaviour change re-pins them and says why.
 """
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -75,3 +77,41 @@ def snapshot(preset: str) -> tuple:
 @pytest.mark.parametrize("preset", sorted(BUILDERS))
 def test_golden_digest(preset):
     assert snapshot(preset) == GOLDEN[preset]
+
+
+# Stale-degree regime: with b=1 and eta=99/100 the round-robin window is
+# rr_width=130, so rings of K_300 outgrow it and recorded degrees go stale;
+# the presets never get there at test sizes.  Pinned: event digest and count,
+# copy flips, a hash of the final out-degrees, the number of stale recorded
+# degrees and a hash of every recorded degree (which entries the round-robin
+# refreshes reached).
+STALE_N = 300
+STALE_SEED = 2209
+STALE_GOLDEN = ("d630db37b540bfd6", 148213, 208, "3e70ff2877679890",
+                1435, "a2894235a1e8c734")
+
+
+def test_golden_digest_stale_regime():
+    cfg = OrientationConfig(STALE_N, Fraction(99, 100), 1, 1, theta=1)
+    assert cfg.rr_width == 130
+    hasher = EventHasher()
+    stack = OrientationStack(cfg, recorder=hasher)
+    edges = [(i, j) for i in range(STALE_N) for j in range(i + 1, STALE_N)]
+    rng = random.Random(STALE_SEED)
+    rng.shuffle(edges)
+    for u, v in edges:
+        stack.insert(u, v)
+    for u, v in rng.sample(edges, len(edges) // 10):
+        stack.delete(u, v)
+    assert audit_state(stack) == []
+    engine = stack.engine
+    assert max(engine.out_sz) > cfg.rr_width
+    live = [eid for pid in engine.pairs.values()
+            for eid in (engine.p_eab[pid], engine.p_eba[pid]) if eid >= 0]
+    stale = sum(1 for eid in live
+                if engine.e_perc[eid] != engine.out_deg[engine.e_tail[eid]])
+    assert stale > 0
+    recorded = sorted((engine.e_tail[eid], engine.e_head[eid],
+                       engine.e_perc[eid]) for eid in live)
+    assert (f"{hasher.digest:016x}", hasher.count, engine.total_copy_flips,
+            _sha(engine.out_deg), stale, _sha(recorded)) == STALE_GOLDEN
