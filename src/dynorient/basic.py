@@ -7,9 +7,11 @@ minimum-degree out-neighbor, flips that edge and carries the +1 pulse
 onward; deletion symmetrically walks toward the maximum-degree in-neighbor
 read off the bucket heads.
 
-In-buckets here are keyed by the exact out-degree of the in-neighbor, so
-every degree change re-files the vertex in all of its out-neighbors'
-bucket lists.
+This module holds only the scan policy (a full argmin over the ring on
+insert).  Flips go through ``EngineCore._flip_copy`` and a committed degree
+change through ``EngineCore._refresh`` over the whole ring: in-buckets here
+are keyed by the exact out-degree of the in-neighbor, so every degree change
+re-files the vertex in all of its out-neighbors' bucket lists.
 
 A flip only happens when it strictly advances the chain (insert: toward a
 smaller degree, delete: toward a larger one).  The guards already imply
@@ -22,7 +24,6 @@ Suppressions are counted on the engine.
 
 from __future__ import annotations
 
-from . import events as ev
 from .state import EngineCore
 
 
@@ -30,7 +31,7 @@ class BasicEngine(EngineCore):
 
     fast_mode = False
 
-    def _insert_copy(self, t: int, h: int) -> None:
+    def _insert_chain(self, t: int) -> None:
         cfg = self.cfg
         g_lhs = cfg._g_lhs
         g_rhs = cfg._g_rhs
@@ -38,11 +39,8 @@ class BasicEngine(EngineCore):
         out_deg = self.out_deg
         e_head = self.e_head
         rn_next = self.rn_next
-        rec = self.recorder
-        flip_half = False
         chain = 0
         while True:
-            self._add_copy(t, h, flip_half)
             dt = out_deg[t]
             # x <- argmin d+ over N+(t); first hit in ring order wins ties.
             sz = self.out_sz[t]
@@ -59,39 +57,26 @@ class BasicEngine(EngineCore):
             if best >= 0 and (dt + 1) * g_lhs > g_rhs * best_d + g_add:
                 if best_d < dt:
                     x = e_head[best]
-                    self._remove_copy(best, flip_half=True)
-                    if rec is not None:
-                        rec.emit(ev.COPY_FLIPPED, t, x)
-                    self.last_copy_flips += 1
-                    self.total_copy_flips += 1
+                    self._flip_copy(best)
                     chain += 1
-                    if self.audit_hooks:
-                        self._audit_critical_ineq(t, x)
-                    t, h = x, t
-                    flip_half = True
+                    t = x
                     continue
                 self.last_suppressed += 1
                 self.total_suppressed += 1
             # No violation: commit the increment and re-file t in every
             # out-neighbor's bucket list.
             self._degree_change(t, dt + 1)
-            e = self.cursor[t]
-            for _ in range(self.out_sz[t]):
-                self.move_bucket(e, dt + 1)
-                e = rn_next[e]
+            self._refresh(t, dt + 1, self.out_sz[t])
             break
         if chain > self.last_chain:
             self.last_chain = chain
 
-    def _delete_copy(self, ent: int) -> None:
+    def _delete_chain(self, u: int) -> None:
         cfg = self.cfg
         g_lhs = cfg._g_lhs
         g_rhs = cfg._g_rhs
         g_add = cfg._g_add
         out_deg = self.out_deg
-        u = self.e_tail[ent]
-        self._remove_copy(ent, flip_half=False)
-        rn_next = self.rn_next
         chain = 0
         while True:
             x_ent = self.first_in_entry(u)
@@ -109,10 +94,7 @@ class BasicEngine(EngineCore):
                     self.total_suppressed += 1
             d = out_deg[u] - 1
             self._degree_change(u, d)
-            e = self.cursor[u]
-            for _ in range(self.out_sz[u]):
-                self.move_bucket(e, d)
-                e = rn_next[e]
+            self._refresh(u, d, self.out_sz[u])
             break
         if chain > self.last_chain:
             self.last_chain = chain

@@ -173,23 +173,37 @@ class OrientationConfig:
         """Integer lower boundaries of the geometric degree buckets.
 
         thresholds[j] is the smallest integer d with d >= (1 + slack/64)^j,
-        computed with exact rational powers so bucket boundaries never
-        flicker.  The table covers every degree reachable under the fixed
-        capacity (d <= (N-1)*b).
+        exact, so bucket boundaries never flicker.  The table covers every
+        degree reachable under the fixed capacity (d <= (N-1)*b).
+
+        base = num/den is in lowest terms with den > 1, so base^j is never an
+        integer for j >= 1 and its ceiling is its floor plus one.  The floor
+        comes from integer bounds lo <= base^j * 2^128 <= hi, carried from
+        one power to the next: when lo and hi share a floor it is exact;
+        otherwise it is taken from the exact power num^j / den^j, which also
+        re-seeds the bounds.
         """
         if self._bucket_thresholds is None:
             base = 1 + self.slack / 64
             num, den = base.numerator, base.denominator
             limit = (self.capacity - 1) * self.b + 1
             thresholds = [1]
-            pn, pd = num, den  # exact value of base^j
+            shift = 128
+            j = 1
+            lo, hi = 0, -1  # no bounds yet: seed from the exact power
             while True:
-                t = -((-pn) // pd)  # ceil(pn/pd)
-                if t > limit:
+                f = lo >> shift
+                if f != hi >> shift:
+                    pn, pd = num ** j, den ** j
+                    f = pn // pd
+                    lo = (pn << shift) // pd
+                    hi = -((-pn << shift) // pd)
+                if f + 1 > limit:
                     break
-                thresholds.append(t)
-                pn *= num
-                pd *= den
+                thresholds.append(f + 1)
+                j += 1
+                lo = lo * num // den
+                hi = -((-hi * num) // den)
             self._bucket_thresholds = thresholds
         return self._bucket_thresholds
 

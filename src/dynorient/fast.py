@@ -18,12 +18,14 @@ Differences from the exact engine:
   with the full slack and +2*theta still holds at update boundaries.
 
 The same strict-progress condition as the exact engine gates flips (exact
-degrees on both sides); see that module's docstring.
+degrees on both sides); see that module's docstring.  As there, this module
+holds only the scan policy: flips go through ``EngineCore._flip_copy`` and
+the round-robin news through ``EngineCore._refresh`` with a window of
+rr_width entries.
 """
 
 from __future__ import annotations
 
-from . import events as ev
 from .errors import CorruptionError
 from .state import EngineCore
 
@@ -32,24 +34,22 @@ class FastEngine(EngineCore):
 
     fast_mode = True
 
-    def _insert_copy(self, t: int, h: int) -> None:
+    def _insert_chain(self, t: int) -> None:
         cfg = self.cfg
         f_lhs = cfg._f_lhs
         f_rhs = cfg._f_rhs
         f_add = cfg._f_add
         rr = cfg.rr_width
         out_deg = self.out_deg
+        out_sz = self.out_sz
         e_head = self.e_head
         e_perc = self.e_perc
         rn_next = self.rn_next
-        rec = self.recorder
-        flip_half = False
         chain = 0
         while True:
-            self._add_copy(t, h, flip_half)
             dt = out_deg[t]
             lhs = (dt + 1) * f_lhs
-            sz = self.out_sz[t]
+            sz = out_sz[t]
             k = rr if rr < sz else sz
             self.last_scan += k
             flip_e = -1
@@ -71,35 +71,22 @@ class FastEngine(EngineCore):
                 self.cursor[t] = e
             if flip_e >= 0:
                 x = e_head[flip_e]
-                self._remove_copy(flip_e, flip_half=True)
-                if rec is not None:
-                    rec.emit(ev.COPY_FLIPPED, t, x)
-                self.last_copy_flips += 1
-                self.total_copy_flips += 1
+                self._flip_copy(flip_e)
                 chain += 1
-                if self.audit_hooks:
-                    self._audit_critical_ineq(t, x)
-                t, h = x, t
-                flip_half = True
+                t = x
                 continue
             # Scan clean: commit the increment and round-robin the news.
             dt += 1
             self._degree_change(t, dt)
-            sz = self.out_sz[t]
-            k = rr if rr < sz else sz
-            e = self.cursor[t]
-            for _ in range(k):
-                if e_perc[e] != dt:
-                    self.move_bucket(e, dt)
-                e = rn_next[e]
-            self.cursor[t] = e
+            sz = out_sz[t]
+            self._refresh(t, dt, rr if rr < sz else sz)
             if self.audit_hooks:
                 self._audit_post_increment(t)
             break
         if chain > self.last_chain:
             self.last_chain = chain
 
-    def _delete_copy(self, ent: int) -> None:
+    def _delete_chain(self, u: int) -> None:
         cfg = self.cfg
         f_lhs = cfg._f_lhs
         f_rhs = cfg._f_rhs
@@ -107,9 +94,6 @@ class FastEngine(EngineCore):
         rr = cfg.rr_width
         out_deg = self.out_deg
         e_perc = self.e_perc
-        rn_next = self.rn_next
-        u = self.e_tail[ent]
-        self._remove_copy(ent, flip_half=False)
         chain = 0
         while True:
             x_ent = self.first_in_entry(u)
@@ -128,13 +112,7 @@ class FastEngine(EngineCore):
             d = out_deg[u] - 1
             self._degree_change(u, d)
             sz = self.out_sz[u]
-            k = rr if rr < sz else sz
-            e = self.cursor[u]
-            for _ in range(k):
-                if e_perc[e] != d:
-                    self.move_bucket(e, d)
-                e = rn_next[e]
-            self.cursor[u] = e
+            self._refresh(u, d, rr if rr < sz else sz)
             if self.audit_hooks:
                 self._audit_post_decrement(u)
             break

@@ -1,14 +1,16 @@
 """Majority rounding of the oriented multigraph into a simple orientation.
 
 Every simple edge points the way the majority of its b copies point, ties
-toward the lexicographically smaller endpoint.  The engine reports every
-copy-count change (a copy flip once, with its final counts: one copy changing
-sides crosses the majority at most once); a visible pair whose majority
-crosses gets reoriented and the change is pushed to registered application
-listeners.  Pairs are invisible while their b copies are being placed (the
-engine announces the pair once the copies settle) and from the moment a
-deletion starts draining them, so applications always observe a consistent
-simple graph.
+toward the lexicographically smaller endpoint.  Only copy flips are reported,
+once each with the final counts (one copy changing sides crosses the majority
+at most once); a visible pair whose majority crosses gets reoriented and the
+change is pushed to registered application listeners.  The copies a simple
+insert places and a simple delete drains are not reported: the pair is
+invisible while they are placed (the engine announces it once they settle)
+and from the moment the deletion starts draining them, so applications always
+observe a consistent simple graph.  ``counts_changed`` still ignores an
+invisible pair, because a flip chain may in principle reverse a copy of the
+pair being placed or drained.
 
 Listener contract (synchronous, dispatch in registration order): on_insert,
 on_delete, on_flip all receive (tail, head) in the current orientation;
@@ -82,7 +84,7 @@ class RoundedOrientation:
     # ------------------------------------------------------------------
 
     def counts_changed(self, a: int, b: int, cab: int, cba: int) -> None:
-        """One copy of pair (a, b) moved; reorient on a majority crossing."""
+        """One copy of pair (a, b) flipped; reorient on a majority crossing."""
         key = a * self.n + b
         old = self._dir.get(key)
         if old is None:

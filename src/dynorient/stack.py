@@ -44,11 +44,11 @@ class OrientationStack:
 
     # -- updates -----------------------------------------------------------
 
-    def insert(self, u: int, v: int) -> list:
-        return self.engine.insert(u, v)
+    def insert(self, u: int, v: int) -> None:
+        self.engine.insert(u, v)
 
-    def delete(self, u: int, v: int) -> list:
-        return self.engine.delete(u, v)
+    def delete(self, u: int, v: int) -> None:
+        self.engine.delete(u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.engine.has_edge(u, v)

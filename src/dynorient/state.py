@@ -34,10 +34,13 @@ from .errors import (
 class EngineCore:
     """State plus the update drivers shared by the basic and fast engines.
 
-    Subclasses provide ``_insert_copy`` (route one new copy, restoring the
-    invariant via a flip chain) and ``_delete_copy`` (remove one copy and run
-    the deletion cascade).  The core owns the pair registry, the ring/bucket
-    mechanics, event emission, and the per-update counters.
+    Subclasses provide the scan policy: ``_insert_chain`` and
+    ``_delete_chain`` walk a flip chain after one copy was added or removed.
+    They flip through ``_flip_copy`` and commit the final ±1 degree change
+    with ``_degree_change`` plus ``_refresh``.  The core owns the pair
+    registry, the ring/bucket mechanics and the bucket key (exact degree, or
+    its geometric index in fast mode), event emission, and the per-update
+    counters.
     """
 
     #: True when in-buckets are keyed by the geometric index of a perceived
@@ -107,30 +110,27 @@ class EngineCore:
     # Public update surface.
     # ------------------------------------------------------------------
 
-    def insert(self, u: int, v: int) -> list:
+    def insert(self, u: int, v: int) -> None:
         """Insert simple edge {u, v}: b copies, each routed to the endpoint
         with the smaller current out-degree (ties toward u), with the
-        invariant restored by the engine's flip chain after each copy.
-
-        Returns the slice of recorded events when a recorder is attached.
-        """
+        invariant restored by the engine's flip chain after each copy."""
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
         key = a * self.n + c
         if key in self.pairs:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        mark = self._mark()
         pid = self._pair_alloc(a, c)
         self._reset_op_counters()
         out_deg = self.out_deg
+        rec = self.recorder
         for _ in range(self.b):
-            if out_deg[u] <= out_deg[v]:
-                self._insert_copy(u, v)
-            else:
-                self._insert_copy(v, u)
+            t, h = (u, v) if out_deg[u] <= out_deg[v] else (v, u)
+            self._add_copy(t, h, pid)
+            if rec is not None:
+                rec.emit(ev.COPY_ADDED, t, h)
+            self._insert_chain(t)
         self.m_simple += 1
         self.updates += 1
-        rec = self.recorder
         if rec is not None:
             rec.emit(ev.SIMPLE_INSERTED, a, c)
         if self.rounding is not None:
@@ -138,9 +138,8 @@ class EngineCore:
             cab = self.e_cnt[eab] if eab >= 0 else 0
             cba = self.e_cnt[eba] if eba >= 0 else 0
             self.rounding.simple_inserted(a, c, cab, cba)
-        return self._since(mark)
 
-    def delete(self, u: int, v: int) -> list:
+    def delete(self, u: int, v: int) -> None:
         """Delete simple edge {u, v}: drain its b copies one at a time,
         running the deletion cascade after each removal.
 
@@ -154,7 +153,6 @@ class EngineCore:
         pid = self.pairs.get(key, -1)
         if pid < 0:
             raise MissingEdgeError(f"edge ({u}, {v}) not present")
-        mark = self._mark()
         self._reset_op_counters()
         rec = self.recorder
         if rec is not None:
@@ -164,20 +162,22 @@ class EngineCore:
         out_deg = self.out_deg
         e_cnt = self.e_cnt
         for _ in range(self.b):
-            t = u if out_deg[u] >= out_deg[v] else v
+            t, h = (u, v) if out_deg[u] >= out_deg[v] else (v, u)
             ent = self._dir_entry(pid, t)
             if ent < 0 or e_cnt[ent] == 0:
-                t = v if t == u else u
+                t, h = h, t
                 ent = self._dir_entry(pid, t)
             if ent < 0:
                 raise CorruptionError("pair drained early")
-            self._delete_copy(ent)
+            self._remove_copy(ent, pid)
+            if rec is not None:
+                rec.emit(ev.COPY_REMOVED, t, h)
+            self._delete_chain(t)
         if self.p_eab[pid] >= 0 or self.p_eba[pid] >= 0:
             raise CorruptionError("copies survived a simple-edge drain")
         self._pair_free(pid, key)
         self.m_simple -= 1
         self.updates += 1
-        return self._since(mark)
 
     def has_edge(self, u: int, v: int) -> bool:
         a, c = (u, v) if u < v else (v, u)
@@ -342,8 +342,13 @@ class EngineCore:
             del self.bmap[v][self.bn_key[bn]]
             self._bn_free.append(bn)
 
-    def move_bucket(self, eid: int, new_perceived: int) -> None:
+    def move_bucket(self, eid: int, new_perceived: int,
+                    new_key: int | None = None) -> None:
         """Re-key an in-neighbor entry after its recorded degree changed.
+
+        ``new_key`` is the bucket key of ``new_perceived`` when the caller
+        already has it (a refresh computes it once for all the entries it
+        moves); it is derived here when omitted.
 
         Same-bucket moves only store the value.  Cross-bucket moves locate
         the target relative to the entry's current bucket, so the common
@@ -352,24 +357,31 @@ class EngineCore:
         between the two keys, keeps its node: the node is re-keyed in place,
         since the chain order is already right.
         """
-        bn = self.e_bnode[eid]
+        e_bnode = self.e_bnode
+        bn = e_bnode[eid]
         if bn < 0:
             raise CorruptionError("move_bucket on an unattached entry")
         self.e_perc[eid] = new_perceived
+        if new_key is None:
+            th = self.thresholds
+            new_key = (new_perceived if th is None
+                       else bisect_right(th, new_perceived) - 1)
         bn_key = self.bn_key
         old_key = bn_key[bn]
-        th = self.thresholds
-        new_key = (new_perceived if th is None
-                   else bisect_right(th, new_perceived) - 1)
         if new_key == old_key:
             return
         v = self.e_head[eid]
         bmap = self.bmap[v]
+        bn_prev = self.bn_prev
+        bn_next = self.bn_next
+        bn_head = self.bn_head
+        bk_next = self.bk_next
+        bk_prev = self.bk_prev
+        nxt = bk_next[eid]
+        prv = bk_prev[eid]
         target = bmap.get(new_key, -1)
         if target < 0:
             # Find the slot for new_key next to the current bucket.
-            bn_prev = self.bn_prev
-            bn_next = self.bn_next
             if new_key > old_key:
                 p = bn
                 while bn_prev[p] >= 0 and bn_key[bn_prev[p]] < new_key:
@@ -380,31 +392,58 @@ class EngineCore:
                 while bn_next[p] >= 0 and bn_key[bn_next[p]] > new_key:
                     p = bn_next[p]
                 above, below = p, bn_next[p]
-            if p == bn and self.bk_prev[eid] < 0 and self.bk_next[eid] < 0:
+            if p == bn and prv < 0 and nxt < 0:
                 del bmap[old_key]
                 bn_key[bn] = new_key
                 bmap[new_key] = bn
                 return
             # Splice a fresh bucket node into the slot before the detach
             # below can recycle the current one.
-            target = self._bn_alloc(new_key)
+            free = self._bn_free
+            if free:
+                target = free.pop()
+                bn_key[target] = new_key
+                bn_head[target] = -1
+                bn_prev[target] = above
+                bn_next[target] = below
+            else:
+                target = len(bn_key)
+                bn_key.append(new_key)
+                bn_prev.append(above)
+                bn_next.append(below)
+                bn_head.append(-1)
             bmap[new_key] = target
-            self.bn_prev[target] = above
-            self.bn_next[target] = below
             if above >= 0:
-                self.bn_next[above] = target
+                bn_next[above] = target
             else:
                 self.top_bucket[v] = target
             if below >= 0:
-                self.bn_prev[below] = target
-        self._bucket_detach(v, eid)
-        head = self.bn_head[target]
-        self.bk_prev[eid] = -1
-        self.bk_next[eid] = head
+                bn_prev[below] = target
+        # Detach from the current bucket, unlinking it if it empties.
+        if prv >= 0:
+            bk_next[prv] = nxt
+        else:
+            bn_head[bn] = nxt
+        if nxt >= 0:
+            bk_prev[nxt] = prv
+        elif prv < 0:
+            bp = bn_prev[bn]
+            bq = bn_next[bn]
+            if bp >= 0:
+                bn_next[bp] = bq
+            else:
+                self.top_bucket[v] = bq
+            if bq >= 0:
+                bn_prev[bq] = bp
+            del bmap[old_key]
+            self._bn_free.append(bn)
+        head = bn_head[target]
+        bk_prev[eid] = -1
+        bk_next[eid] = head
         if head >= 0:
-            self.bk_prev[head] = eid
-        self.bn_head[target] = eid
-        self.e_bnode[eid] = target
+            bk_prev[head] = eid
+        bn_head[target] = eid
+        e_bnode[eid] = target
 
     def first_in_entry(self, v: int) -> int:
         """Entry id of v's in-neighbor with the largest bucket key, or -1."""
@@ -429,7 +468,11 @@ class EngineCore:
             e = self.rn_next[e]
 
     # ------------------------------------------------------------------
-    # Copy-level primitives (entry/count manipulation plus events).
+    # Copy-level primitives.  _add_copy/_remove_copy do the adjacency work
+    # for one copy of the pair ``pid`` and nothing else: insert/delete emit
+    # their COPY_ADDED/COPY_REMOVED events, and rounding never hears about
+    # them, since a pair is invisible to it while its copies are placed or
+    # drained.  _flip_copy is the one way a copy changes sides.
     # ------------------------------------------------------------------
 
     def _dir_entry(self, pid: int, tail: int) -> int:
@@ -441,11 +484,8 @@ class EngineCore:
         else:
             self.p_eba[pid] = eid
 
-    def _add_copy(self, t: int, h: int, flip_half: bool) -> int:
-        """Add one copy t->h.  Returns the entry now holding it."""
-        n = self.n
-        a, c = (t, h) if t < h else (h, t)
-        pid = self.pairs[a * n + c]
+    def _add_copy(self, t: int, h: int, pid: int) -> None:
+        """Add one copy t->h of pair pid."""
         eid = self._dir_entry(pid, t)
         dt = self.out_deg[t]
         if eid < 0:
@@ -474,44 +514,39 @@ class EngineCore:
             # A copy joining an existing group refreshes its recorded degree.
             if self.e_perc[eid] != dt:
                 self.move_bucket(eid, dt)
-        if not flip_half:
-            rec = self.recorder
-            if rec is not None:
-                rec.emit(ev.COPY_ADDED, t, h)
-        if self.rounding is not None:
-            self._notify_counts(pid)
-        return eid
 
-    def _remove_copy(self, eid: int, flip_half: bool) -> None:
-        """Remove one copy held by entry eid."""
-        t = self.e_tail[eid]
-        h = self.e_head[eid]
-        a, c = (t, h) if t < h else (h, t)
-        pid = self.pairs[a * self.n + c]
+    def _remove_copy(self, eid: int, pid: int) -> None:
+        """Remove one copy held by entry eid of pair pid."""
         cnt = self.e_cnt[eid]
         if cnt == 1:
+            t = self.e_tail[eid]
             self._ring_remove(eid, t)
-            self._bucket_detach(h, eid)
+            self._bucket_detach(self.e_head[eid], eid)
             self._set_dir_entry(pid, t, -1)
             self.e_cnt[eid] = 0
             self._e_free.append(eid)
         else:
             self.e_cnt[eid] = cnt - 1
-        if not flip_half:
-            rec = self.recorder
-            if rec is not None:
-                rec.emit(ev.COPY_REMOVED, t, h)
-            # A flip's add half reports the final counts instead: one copy
-            # changing sides can cross the majority at most once.
-            if self.rounding is not None:
-                self._notify_counts(pid)
 
     def _flip_copy(self, eid: int) -> None:
-        """Reverse one copy held by entry eid (t->h becomes h->t)."""
+        """Reverse one copy held by entry eid (t->h becomes h->t).
+
+        Rounding hears of it once, with the final counts: one copy changing
+        sides can cross the majority at most once.  Then the flip is
+        emitted and counted, and audit builds check the critical inequality.
+        """
         t = self.e_tail[eid]
         h = self.e_head[eid]
-        self._remove_copy(eid, flip_half=True)
-        self._add_copy(h, t, flip_half=True)
+        a, c = (t, h) if t < h else (h, t)
+        pid = self.pairs[a * self.n + c]
+        self._remove_copy(eid, pid)
+        self._add_copy(h, t, pid)
+        rounding = self.rounding
+        if rounding is not None:
+            eab, eba = self.p_eab[pid], self.p_eba[pid]
+            cab = self.e_cnt[eab] if eab >= 0 else 0
+            cba = self.e_cnt[eba] if eba >= 0 else 0
+            rounding.counts_changed(a, c, cab, cba)
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.COPY_FLIPPED, t, h)
@@ -519,12 +554,6 @@ class EngineCore:
         self.total_copy_flips += 1
         if self.audit_hooks:
             self._audit_critical_ineq(t, h)
-
-    def _notify_counts(self, pid: int) -> None:
-        eab, eba = self.p_eab[pid], self.p_eba[pid]
-        cab = self.e_cnt[eab] if eab >= 0 else 0
-        cba = self.e_cnt[eba] if eba >= 0 else 0
-        self.rounding.counts_changed(self.p_a[pid], self.p_b[pid], cab, cba)
 
     def _degree_change(self, u: int, d: int) -> None:
         self.out_deg[u] = d
@@ -534,6 +563,25 @@ class EngineCore:
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
+
+    def _refresh(self, u: int, d: int, k: int) -> None:
+        """Tell the next k out-neighbors of u, from its cursor, that u's
+        out-degree is now d, and leave the cursor after the last one told.
+
+        The bucket key of d is computed once; only entries whose recorded
+        degree differs are moved, each through ``self.move_bucket``.
+        """
+        th = self.thresholds
+        key = d if th is None else bisect_right(th, d) - 1
+        move = self.move_bucket
+        e_perc = self.e_perc
+        rn_next = self.rn_next
+        e = self.cursor[u]
+        for _ in range(k):
+            if e_perc[e] != d:
+                move(e, d, key)
+            e = rn_next[e]
+        self.cursor[u] = e
 
     # ------------------------------------------------------------------
     # Pair registry plumbing.
@@ -577,24 +625,18 @@ class EngineCore:
         self.last_suppressed = 0
         self.last_scan = 0
 
-    def _mark(self) -> int:
-        rec = self.recorder
-        return len(rec.events) if rec is not None and hasattr(rec, "events") else 0
-
-    def _since(self, mark: int) -> list:
-        rec = self.recorder
-        if rec is not None and hasattr(rec, "events"):
-            return rec.events[mark:]
-        return []
-
     # ------------------------------------------------------------------
     # Engine-specific operations.
     # ------------------------------------------------------------------
 
-    def _insert_copy(self, t: int, h: int) -> None:
+    def _insert_chain(self, t: int) -> None:
+        """Restore the invariant after a copy was added out of t: flip
+        along a chain until some vertex can absorb the +1, then commit it."""
         raise NotImplementedError
 
-    def _delete_copy(self, ent: int) -> None:
+    def _delete_chain(self, u: int) -> None:
+        """Restore the invariant after a copy out of u was removed: flip
+        along a chain until some vertex can absorb the -1, then commit it."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------

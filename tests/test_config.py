@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dynorient import ConfigError, OrientationConfig
+from dynorient.config import PRESETS
 
 
 def test_simple_additive_formula():
@@ -92,6 +93,32 @@ class TestBucketIndex:
                 assert d < ts[j + 1] or ts[j + 1] == ts[j]
         # every degree maps into the table
         assert cfg.bucket_index(limit) < len(ts)
+
+
+def _thresholds_by_exact_powers(cfg):
+    """Reference table: ceil((1 + slack/64)^j) from exact rational powers."""
+    base = 1 + cfg.slack / 64
+    num, den = base.numerator, base.denominator
+    limit = (cfg.capacity - 1) * cfg.b + 1
+    thresholds = [1]
+    pn, pd = num, den
+    while True:
+        t = -((-pn) // pd)
+        if t > limit:
+            break
+        thresholds.append(t)
+        pn *= num
+        pd *= den
+    return thresholds
+
+
+@pytest.mark.parametrize("preset, n", [
+    (preset, n) for preset in PRESETS for n in (2, 60, 500)
+    # eta/b would reach 1: the preset has no config at N=2.
+    if (preset, n) != ("fast-additive", 2)])
+def test_bucket_thresholds_match_exact_powers(preset, n):
+    cfg = OrientationConfig.from_preset(preset, n, epsilon=Fraction(1, 2))
+    assert cfg.bucket_thresholds() == _thresholds_by_exact_powers(cfg)
 
 
 def test_invariant_ok_exactness():

@@ -51,9 +51,19 @@ def _sha(obj) -> str:
 
 
 def snapshot(preset: str) -> tuple:
-    """Replay the pinned workload under ``preset`` and return the digests."""
+    """Replay the pinned workload under ``preset``; return the digests and
+    the number of ``counts_changed`` notifications rounding received."""
     hasher = EventHasher()
     stack = OrientationStack(BUILDERS[preset](N), recorder=hasher)
+    notified = 0
+    counts_changed = stack.rounding.counts_changed
+
+    def counting(*args):
+        nonlocal notified
+        notified += 1
+        counts_changed(*args)
+
+    stack.rounding.counts_changed = counting
     matching = stack.attach_matching()
     coloring = stack.attach_coloring()
     forests = stack.attach_forests()
@@ -71,12 +81,16 @@ def snapshot(preset: str) -> tuple:
                  sorted(forests.by_edge.items()), matvec.s))
     return (f"{hasher.digest:016x}", hasher.count, engine.total_copy_flips,
             engine.total_suppressed, stack.rounding.total_simple_flips,
-            state, apps)
+            state, apps), notified
 
 
 @pytest.mark.parametrize("preset", sorted(BUILDERS))
 def test_golden_digest(preset):
-    assert snapshot(preset) == GOLDEN[preset]
+    digests, notified = snapshot(preset)
+    assert digests == GOLDEN[preset]
+    # Rounding hears of each copy flip once, and of no other copy change:
+    # a pair being placed or drained is invisible to it.
+    assert notified == digests[2]
 
 
 # Stale-degree regime: with b=1 and eta=99/100 the round-robin window is
