@@ -23,7 +23,7 @@ from .config import (
     PRESETS,
     OrientationConfig,
 )
-from .density import DensityEstimator, DensityReport, DensityTracker
+from .density import DensityReport, DensityTracker
 from .errors import (
     ConfigError,
     CorruptionError,
@@ -46,7 +46,6 @@ __all__ = [
     "RoundedOrientation",
     "OrientationListener",
     "DensityTracker",
-    "DensityEstimator",
     "DensityReport",
     "MaximalMatching",
     "GreedyColoring",

@@ -12,9 +12,11 @@ smallest k whose next set grows by less than a (1+gamma) factor, and returns
 T_(k+1); the density of that set is at least estimate/((1+gamma)(1+eta/b)^k)
 because no vertex of T_k can orient a copy outside T_(k+1).
 
-Degrees are indexed by per-degree vertex sets and the tracked maximum, so a
-±1 degree change costs O(1).  Threshold counting and extraction both walk
-the degree range down from the maximum; that cost falls on queries, not on
+One ``DensityTracker`` does both jobs: it listens to the engine's degree
+stream, indexing degrees by per-degree vertex sets and the tracked maximum
+so a ±1 degree change costs O(1), and it answers the density and
+densest-subgraph queries.  Threshold counting and extraction both walk the
+degree range down from the maximum; that cost falls on queries, not on
 updates.
 """
 
@@ -40,7 +42,8 @@ class DensityReport:
 
 
 class DensityTracker:
-    """Per-degree index over exact multigraph out-degrees.
+    """Per-degree index over exact multigraph out-degrees, and the density
+    queries read off it.
 
     Subscribed to the engine's degree stream; tracks the maximum and answers
     "how many / which vertices have out-degree >= t" by walking the degrees
@@ -109,33 +112,9 @@ class DensityTracker:
                 out.extend(bucket)
         return out
 
-    def violations(self, engine) -> list[str]:
-        bad = []
-        if self.deg != engine.out_deg:
-            bad.append("density tracker degrees diverge from the engine")
-        if self.delta != max(engine.out_deg, default=0):
-            bad.append("density tracker max degree is stale")
-        for d, bucket in self.members.items():
-            for u in bucket:
-                if self.deg[u] != d:
-                    bad.append(f"vertex {u} filed under degree {d}")
-        total = sum(len(b) for b in self.members.values())
-        if total != self.count_at_least(1):
-            bad.append("density tracker counts are inconsistent")
-        return bad
-
-
-class DensityEstimator:
-    """Query-side wrapper joining the tracker with the engine parameters."""
-
-    def __init__(self, engine, tracker: DensityTracker):
-        self.engine = engine
-        self.tracker = tracker
-        self.cfg = engine.cfg
-
     def value(self) -> Fraction:
         """Raw estimate Delta(multigraph)/b, defined for every preset."""
-        return Fraction(self.tracker.delta, self.cfg.b)
+        return Fraction(self.delta, self.cfg.b)
 
     def estimate(self) -> Fraction:
         """The (1+epsilon)-sandwich estimate; eps-density preset only."""
@@ -155,9 +134,8 @@ class DensityEstimator:
 
     def report(self) -> DensityReport:
         """Threshold-set construction at the current state, any preset."""
-        tracker = self.tracker
         cfg = self.cfg
-        delta = tracker.delta
+        delta = self.delta
         if delta == 0:
             return DensityReport(Fraction(0), 0, 0, [], [])
         ratio = 1 / (1 + cfg.slack)        # (1+eta/b)^(-1), exact
@@ -166,7 +144,7 @@ class DensityEstimator:
         one_plus_gamma = 1 + cfg.gamma
 
         thresholds = [Fraction(delta)]
-        sizes = [tracker.count_at_least(delta)]
+        sizes = [self.count_at_least(delta)]
         power = Fraction(1)
         csum = Fraction(0)
         k = -1
@@ -175,7 +153,7 @@ class DensityEstimator:
             csum += power
             v_i = delta * power - c * csum
             thresholds.append(v_i)
-            sizes.append(tracker.count_at_least(v_i))
+            sizes.append(self.count_at_least(v_i))
             if sizes[i] < one_plus_gamma * sizes[i - 1]:
                 k = i - 1
                 break
@@ -183,7 +161,7 @@ class DensityEstimator:
             raise CorruptionError(
                 "no qualifying threshold index within the growth cap; "
                 "the (1+gamma)^k <= n argument excludes this")
-        vertices = tracker.vertices_at_least(thresholds[k + 1])
+        vertices = self.vertices_at_least(thresholds[k + 1])
         return DensityReport(
             estimate=Fraction(delta, cfg.b),
             k=k,
@@ -192,16 +170,35 @@ class DensityEstimator:
             vertices=vertices,
         )
 
-    def no_escape_violations(self, report: DensityReport) -> list[str]:
+    # ------------------------------------------------------------------
+    # Audits.
+    # ------------------------------------------------------------------
+
+    def violations(self, engine) -> list[str]:
+        bad = []
+        if self.deg != engine.out_deg:
+            bad.append("density tracker degrees diverge from the engine")
+        if self.delta != max(engine.out_deg, default=0):
+            bad.append("density tracker max degree is stale")
+        for d, bucket in self.members.items():
+            for u in bucket:
+                if self.deg[u] != d:
+                    bad.append(f"vertex {u} filed under degree {d}")
+        total = sum(len(b) for b in self.members.values())
+        if total != self.count_at_least(1):
+            bad.append("density tracker counts are inconsistent")
+        return bad
+
+    def no_escape_violations(self, report: DensityReport,
+                             engine) -> list[str]:
         """Audit: every copy oriented out of T_k stays inside T_(k+1)."""
         bad = []
         if not report.thresholds:
             return bad  # empty graph
-        engine = self.engine
-        deg = self.tracker.deg
+        deg = self.deg
         t_k = report.thresholds[report.k]
         t_k1 = report.thresholds[report.k + 1]
-        for u in self.tracker.vertices_at_least(t_k):
+        for u in self.vertices_at_least(t_k):
             for e in engine.out_entries(u):
                 h = engine.e_head[e]
                 if deg[h] < t_k1:

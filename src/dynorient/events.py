@@ -15,7 +15,6 @@ COPY_FLIPPED = "copy_flipped"
 OUT_DEGREE_CHANGED = "out_degree_changed"
 SIMPLE_INSERTED = "simple_inserted"
 SIMPLE_DELETED = "simple_deleted"
-SIMPLE_REORIENTED = "simple_reoriented"
 
 _KIND_CODES = {
     COPY_ADDED: 1,
@@ -24,7 +23,6 @@ _KIND_CODES = {
     OUT_DEGREE_CHANGED: 4,
     SIMPLE_INSERTED: 5,
     SIMPLE_DELETED: 6,
-    SIMPLE_REORIENTED: 7,
 }
 
 

@@ -19,9 +19,9 @@ Differences from the exact engine:
 
 The same strict-progress condition as the exact engine gates flips (exact
 degrees on both sides); see that module's docstring.  As there, this module
-holds only the scan policy: flips go through ``EngineCore._flip_copy`` and
-the round-robin news through ``EngineCore._refresh`` with a window of
-rr_width entries.
+holds only the insert scan, plus the staleness-lemma audits the core calls
+after each commit in audit builds.  The core picks the halved guard and the
+rr_width window in fast mode, and runs the chains, flips and commits.
 """
 
 from __future__ import annotations
@@ -34,90 +34,34 @@ class FastEngine(EngineCore):
 
     fast_mode = True
 
-    def _insert_chain(self, t: int) -> None:
-        cfg = self.cfg
-        f_lhs = cfg._f_lhs
-        f_rhs = cfg._f_rhs
-        f_add = cfg._f_add
-        rr = cfg.rr_width
+    def _scan(self, t: int, dt: int) -> int:
+        # First violation within the window from the cursor, checked against
+        # exact degrees; every entry passed over learns t's degree.
+        lhs, rhs, add = self.guard
+        lhs *= dt + 1
         out_deg = self.out_deg
-        out_sz = self.out_sz
         e_head = self.e_head
         e_perc = self.e_perc
         rn_next = self.rn_next
-        chain = 0
-        while True:
-            dt = out_deg[t]
-            lhs = (dt + 1) * f_lhs
-            sz = out_sz[t]
-            k = rr if rr < sz else sz
-            self.last_scan += k
-            flip_e = -1
-            e = self.cursor[t]
-            for _ in range(k):
-                nxt = rn_next[e]
-                dx = out_deg[e_head[e]]
-                if lhs > f_rhs * dx + f_add:
-                    if dx < dt:
-                        self.cursor[t] = nxt
-                        flip_e = e
-                        break
-                    self.last_suppressed += 1
-                    self.total_suppressed += 1
-                if e_perc[e] != dt:
-                    self.move_bucket(e, dt)
-                e = nxt
-            else:
-                self.cursor[t] = e
-            if flip_e >= 0:
-                x = e_head[flip_e]
-                self._flip_copy(flip_e)
-                chain += 1
-                t = x
-                continue
-            # Scan clean: commit the increment and round-robin the news.
-            dt += 1
-            self._degree_change(t, dt)
-            sz = out_sz[t]
-            self._refresh(t, dt, rr if rr < sz else sz)
-            if self.audit_hooks:
-                self._audit_post_increment(t)
-            break
-        if chain > self.last_chain:
-            self.last_chain = chain
-
-    def _delete_chain(self, u: int) -> None:
-        cfg = self.cfg
-        f_lhs = cfg._f_lhs
-        f_rhs = cfg._f_rhs
-        f_add = cfg._f_add
-        rr = cfg.rr_width
-        out_deg = self.out_deg
-        e_perc = self.e_perc
-        chain = 0
-        while True:
-            x_ent = self.first_in_entry(u)
-            if x_ent >= 0:
-                du = out_deg[u]
-                # Guard on the perceived degree of the top in-neighbor.
-                if e_perc[x_ent] * f_lhs > f_rhs * (du - 1) + f_add:
-                    x = self.e_tail[x_ent]
-                    if out_deg[x] > du:
-                        self._flip_copy(x_ent)
-                        chain += 1
-                        u = x
-                        continue
-                    self.last_suppressed += 1
-                    self.total_suppressed += 1
-            d = out_deg[u] - 1
-            self._degree_change(u, d)
-            sz = self.out_sz[u]
-            self._refresh(u, d, rr if rr < sz else sz)
-            if self.audit_hooks:
-                self._audit_post_decrement(u)
-            break
-        if chain > self.last_chain:
-            self.last_chain = chain
+        k = self.out_sz[t]
+        if self.window < k:
+            k = self.window
+        self.last_scan += k
+        e = self.cursor[t]
+        for _ in range(k):
+            nxt = rn_next[e]
+            dx = out_deg[e_head[e]]
+            if lhs > rhs * dx + add:
+                if dx < dt:
+                    self.cursor[t] = nxt
+                    return e
+                self.last_suppressed += 1
+                self.total_suppressed += 1
+            if e_perc[e] != dt:
+                self.move_bucket(e, dt)
+            e = nxt
+        self.cursor[t] = e
+        return -1
 
     # ------------------------------------------------------------------
     # Staleness lemma hooks (audit builds only).  Skipped on updates where

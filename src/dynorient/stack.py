@@ -12,7 +12,7 @@ from .applications import (
 )
 from .basic import BasicEngine
 from .config import OrientationConfig
-from .density import DensityEstimator, DensityReport, DensityTracker
+from .density import DensityReport, DensityTracker
 from .fast import FastEngine
 from .rounding import RoundedOrientation
 
@@ -32,11 +32,12 @@ class OrientationStack:
         self.engine = engine_cls(cfg)
         self.engine.audit_hooks = audit_hooks
         self.rounding = RoundedOrientation(cfg.capacity)
-        self.tracker = DensityTracker(cfg)
+        # One object takes the degree stream and answers the density
+        # queries; callers read it as ``tracker`` or as ``density``.
+        self.tracker = self.density = DensityTracker(cfg)
         self.engine.rounding = self.rounding
         self.engine.degree_listener = self.tracker
         self.engine.recorder = recorder
-        self.density = DensityEstimator(self.engine, self.tracker)
         self.matching = None
         self.coloring = None
         self.forests = None

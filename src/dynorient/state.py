@@ -34,13 +34,16 @@ from .errors import (
 class EngineCore:
     """State plus the update drivers shared by the basic and fast engines.
 
-    Subclasses provide the scan policy: ``_insert_chain`` and
-    ``_delete_chain`` walk a flip chain after one copy was added or removed.
-    They flip through ``_flip_copy`` and commit the final ±1 degree change
-    with ``_degree_change`` plus ``_refresh``.  The core owns the pair
-    registry, the ring/bucket mechanics and the bucket key (exact degree, or
-    its geometric index in fast mode), event emission, and the per-update
-    counters.
+    The core runs both flip chains: after a copy is added, ``_insert_chain``
+    flips toward the out-neighbor that the engine's ``_scan`` picks until
+    the scan finds none; after a copy is removed, ``_delete_chain`` flips
+    toward the in-neighbor with the largest recorded degree while the guard
+    holds.  Flips go through ``_flip_copy`` and the final ±1 through
+    ``_commit``.  Subclasses provide only ``_scan`` and, for audit builds,
+    the ``_audit_post_*`` hooks run after each commit.  The core also owns
+    the pair registry, the ring/bucket mechanics and the bucket key (exact
+    degree, or its geometric index in fast mode), event emission, and the
+    per-update counters.
     """
 
     #: True when in-buckets are keyed by the geometric index of a perceived
@@ -55,6 +58,15 @@ class EngineCore:
         # Sorted geometric bucket boundaries in fast mode, None when buckets
         # are keyed by the exact degree; see _bucket_key.
         self.thresholds = cfg.bucket_thresholds() if self.fast_mode else None
+        # Flip guard (lhs, rhs, add): flip when d * lhs > rhs * d' + add.
+        # The fast engine uses half the slack and theta; see fast.py.
+        if self.fast_mode:
+            self.guard = (cfg._f_lhs, cfg._f_rhs, cfg._f_add)
+        else:
+            self.guard = (cfg._g_lhs, cfg._g_rhs, cfg._g_add)
+        # Round-robin width of a committed degree change; no ring outgrows
+        # n, so in exact mode every out-neighbor hears of it.
+        self.window = cfg.rr_width if self.fast_mode else n
 
         self.out_deg = [0] * n
         self.out_sz = [0] * n          # ring length = distinct out-neighbors
@@ -207,27 +219,6 @@ class EngineCore:
     # ------------------------------------------------------------------
     # Round-robin ring mechanics.
     # ------------------------------------------------------------------
-
-    def round_robin_take(self, u: int, k: int) -> list[int]:
-        """Advance u's cursor past min(k, ring size) out-neighbor entries and
-        return the head vertices visited, in ring order.
-
-        New out-neighbors enter the ring immediately before the cursor, so
-        anything added after the cursor last passed a position is visited
-        before the cursor comes back around to that position.
-        """
-        sz = self.out_sz[u]
-        if sz == 0:
-            return []
-        rn_next = self.rn_next
-        e_head = self.e_head
-        e = self.cursor[u]
-        out = []
-        for _ in range(min(k, sz)):
-            out.append(e_head[e])
-            e = rn_next[e]
-        self.cursor[u] = e
-        return out
 
     def _ring_insert(self, eid: int, u: int) -> None:
         cur = self.cursor[u]
@@ -555,7 +546,14 @@ class EngineCore:
         if self.audit_hooks:
             self._audit_critical_ineq(t, h)
 
-    def _degree_change(self, u: int, d: int) -> None:
+    def _commit(self, u: int, d: int) -> None:
+        """Set u's out-degree to d, announce it, and tell the next
+        ``window`` out-neighbors of u, from its cursor, leaving the cursor
+        after the last one told.
+
+        The bucket key of d is computed once; only entries whose recorded
+        degree differs are moved, each through ``self.move_bucket``.
+        """
         self.out_deg[u] = d
         dl = self.degree_listener
         if dl is not None:
@@ -563,14 +561,9 @@ class EngineCore:
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
-
-    def _refresh(self, u: int, d: int, k: int) -> None:
-        """Tell the next k out-neighbors of u, from its cursor, that u's
-        out-degree is now d, and leave the cursor after the last one told.
-
-        The bucket key of d is computed once; only entries whose recorded
-        degree differs are moved, each through ``self.move_bucket``.
-        """
+        k = self.out_sz[u]
+        if self.window < k:
+            k = self.window
         th = self.thresholds
         key = d if th is None else bisect_right(th, d) - 1
         move = self.move_bucket
@@ -582,6 +575,65 @@ class EngineCore:
                 move(e, d, key)
             e = rn_next[e]
         self.cursor[u] = e
+
+    # ------------------------------------------------------------------
+    # Flip chains.
+    # ------------------------------------------------------------------
+
+    def _insert_chain(self, t: int) -> None:
+        """Restore the invariant after a copy was added out of t: flip
+        toward the out-neighbor the scan picks until it picks none, then
+        commit the +1 where the chain stopped."""
+        out_deg = self.out_deg
+        e_head = self.e_head
+        scan = self._scan
+        chain = 0
+        e = scan(t, out_deg[t])
+        while e >= 0:
+            t = e_head[e]
+            self._flip_copy(e)
+            chain += 1
+            e = scan(t, out_deg[t])
+        if chain > self.last_chain:
+            self.last_chain = chain
+        self._commit(t, out_deg[t] + 1)
+        if self.audit_hooks:
+            self._audit_post_increment(t)
+
+    def _delete_chain(self, u: int) -> None:
+        """Restore the invariant after a copy out of u was removed: while
+        the in-neighbor with the largest recorded degree violates the guard
+        against u, flip its copy, then commit the -1 where the chain
+        stopped.  Recorded degrees are exact in the exact engine."""
+        lhs, rhs, add = self.guard
+        out_deg = self.out_deg
+        e_perc = self.e_perc
+        chain = 0
+        while True:
+            x_ent = self.first_in_entry(u)
+            if x_ent < 0:
+                break
+            du = out_deg[u]
+            if e_perc[x_ent] * lhs <= rhs * (du - 1) + add:
+                break
+            x = self.e_tail[x_ent]
+            if out_deg[x] <= du:
+                self.last_suppressed += 1
+                self.total_suppressed += 1
+                break
+            self._flip_copy(x_ent)
+            chain += 1
+            u = x
+        if chain > self.last_chain:
+            self.last_chain = chain
+        self._commit(u, out_deg[u] - 1)
+        if self.audit_hooks:
+            self._audit_post_decrement(u)
+
+    def _scan(self, t: int, dt: int) -> int:
+        """Entry of the out-neighbor the chain at t (out-degree dt, before
+        the +1) flips toward next, or -1 to commit at t."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Pair registry plumbing.
@@ -624,20 +676,6 @@ class EngineCore:
         self.last_chain = 0
         self.last_suppressed = 0
         self.last_scan = 0
-
-    # ------------------------------------------------------------------
-    # Engine-specific operations.
-    # ------------------------------------------------------------------
-
-    def _insert_chain(self, t: int) -> None:
-        """Restore the invariant after a copy was added out of t: flip
-        along a chain until some vertex can absorb the +1, then commit it."""
-        raise NotImplementedError
-
-    def _delete_chain(self, u: int) -> None:
-        """Restore the invariant after a copy out of u was removed: flip
-        along a chain until some vertex can absorb the -1, then commit it."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Audits.
@@ -798,3 +836,10 @@ class EngineCore:
             raise CorruptionError(
                 f"critical inequality failed on flip {t}->{h}: "
                 f"{lhs} <= {rhs}")
+
+    def _audit_post_increment(self, u: int) -> None:
+        """Audit after a committed +1 at u; the fast engine checks its
+        staleness lemma here."""
+
+    def _audit_post_decrement(self, v: int) -> None:
+        """Audit after a committed -1 at v; see ``_audit_post_increment``."""

@@ -105,7 +105,8 @@ def density_corpus():
                 edges = sorted(fz.live_set)
                 rho, _ = exact_density(n, edges)
                 report = stack.density.report()
-                no_escape = stack.density.no_escape_violations(report)
+                no_escape = stack.density.no_escape_violations(report,
+                                                                stack.engine)
                 states.append((cfg, edges, stack.density_value(), report,
                                rho, no_escape))
     return states

@@ -145,4 +145,5 @@ class TestExtraction:
                 (1 + cfg.gamma) * (1 + cfg.slack) ** report.k)
             assert got >= bound
             # no copy escapes T_k into non-T_(k+1)
-            assert stack.density.no_escape_violations(report) == []
+            assert stack.density.no_escape_violations(
+                report, stack.engine) == []

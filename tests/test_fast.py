@@ -111,3 +111,29 @@ def test_deletion_candidate_sits_in_the_maximal_bucket():
             top_key = key(engine.e_perc[top])
             for e in engine.in_entries(v):
                 assert key(engine.e_perc[e]) <= top_key
+
+
+@pytest.mark.parametrize("preset", ["fast-additive", "fast-multiplicative"])
+def test_every_committed_step_is_audited(preset):
+    # Each simple insert or delete commits b unit degree changes; in an
+    # audit build every one of them runs its staleness-lemma hook.
+    stack = OrientationStack(OrientationConfig.from_preset(preset, 32),
+                             audit_hooks=True)
+    engine = stack.engine
+    calls = {"+": 0, "-": 0, "insert": 0, "delete": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    engine._audit_post_increment = counted("+", engine._audit_post_increment)
+    engine._audit_post_decrement = counted("-", engine._audit_post_decrement)
+    stack.insert = counted("insert", stack.insert)
+    stack.delete = counted("delete", stack.delete)
+    Fuzzer(stack, seed=23).run(600)
+    b = stack.cfg.b
+    assert calls["insert"] + calls["delete"] == 600
+    assert calls["+"] == b * calls["insert"]
+    assert calls["-"] == b * calls["delete"]

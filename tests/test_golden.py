@@ -50,11 +50,12 @@ def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def snapshot(preset: str) -> tuple:
+def snapshot(preset: str, audit_hooks: bool = False) -> tuple:
     """Replay the pinned workload under ``preset``; return the digests and
     the number of ``counts_changed`` notifications rounding received."""
     hasher = EventHasher()
-    stack = OrientationStack(BUILDERS[preset](N), recorder=hasher)
+    stack = OrientationStack(BUILDERS[preset](N), recorder=hasher,
+                             audit_hooks=audit_hooks)
     notified = 0
     counts_changed = stack.rounding.counts_changed
 
@@ -91,6 +92,15 @@ def test_golden_digest(preset):
     # Rounding hears of each copy flip once, and of no other copy change:
     # a pair being placed or drained is invisible to it.
     assert notified == digests[2]
+
+
+@pytest.mark.parametrize("preset",
+                         ["simple-multiplicative", "fast-multiplicative"])
+def test_golden_digest_with_audit_hooks(preset):
+    # The in-flight audits only read state: the same digests, and none of
+    # them fails on the pinned workload.
+    digests, _ = snapshot(preset, audit_hooks=True)
+    assert digests == GOLDEN[preset]
 
 
 # Stale-degree regime: with b=1 and eta=99/100 the round-robin window is

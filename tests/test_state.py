@@ -44,15 +44,22 @@ def _ring_of_three(stack):
     assert stack.engine.last_copy_flips == 0
 
 
+def _ring(engine, u):
+    """Heads of u's out-ring in ring order from the cursor."""
+    return [engine.e_head[e] for e in engine.out_entries(u)]
+
+
 def test_round_robin_take_basic_order():
+    """Ring order from the cursor, which is the round-robin order."""
     stack = _stack32()
     _ring_of_three(stack)
     engine = stack.engine
-    assert engine.round_robin_take(0, 2) == [1, 2]
-    # cursor now at 3; a take of two wraps circularly
-    assert engine.round_robin_take(0, 2) == [3, 1]
-    # ring shorter than the request: each entry visited at most once
-    assert engine.round_robin_take(0, 5) == [2, 3, 1]
+    assert _ring(engine, 0) == [1, 2, 3]
+    # the ring is circular: advancing the cursor rotates the order
+    engine.cursor[0] = engine.rn_next[engine.rn_next[engine.cursor[0]]]
+    assert _ring(engine, 0) == [3, 1, 2]
+    # one round visits each entry once
+    assert len(set(engine.out_entries(0))) == engine.out_sz[0] == 3
 
 
 def test_round_robin_take_single_entry():
@@ -60,12 +67,16 @@ def test_round_robin_take_single_entry():
     aux = iter(range(10, 32))
     _bump_degree(stack, 1, aux)
     stack.insert(0, 1)
-    assert stack.engine.round_robin_take(0, 5) == [1]
+    engine = stack.engine
+    assert _ring(engine, 0) == [1]
+    e = engine.cursor[0]
+    assert engine.rn_next[e] == e == engine.rn_prev[e]
 
 
 def test_round_robin_take_empty():
     stack = _stack32()
-    assert stack.engine.round_robin_take(5, 3) == []
+    assert _ring(stack.engine, 5) == []
+    assert stack.engine.cursor[5] == -1
 
 
 def test_new_entry_visited_before_cursor_completes_its_round():
@@ -82,12 +93,14 @@ def test_new_entry_visited_before_cursor_completes_its_round():
     stack.insert(0, 1)
     stack.insert(0, 2)
     engine = stack.engine
-    assert engine.round_robin_take(0, 1) == [1]  # cursor parked at 2
+    assert _ring(engine, 0) == [1, 2]
+    engine.cursor[0] = engine.rn_next[engine.cursor[0]]  # park at 2
+    assert _ring(engine, 0) == [2, 1]
     stack.insert(0, 3)  # enters the ring immediately before the cursor
     assert engine.out_deg[0] == 3
     # the full round from the cursor reaches the newcomer last, and before
     # the cursor returns to where it rested when the entry was added
-    assert engine.round_robin_take(0, 3) == [2, 1, 3]
+    assert _ring(engine, 0) == [2, 1, 3]
 
 
 class TestMoveBucket:
