@@ -91,8 +91,7 @@ class DensityTracker:
         linear in the degree range walked."""
         if t <= 0:
             return self.n
-        t = -(-t.numerator // t.denominator) if isinstance(t, Fraction) \
-            else math.ceil(t)
+        t = math.ceil(t)
         members = self.members
         return sum(len(members[d]) for d in range(self.delta, t - 1, -1)
                    if d in members)
@@ -102,8 +101,7 @@ class DensityTracker:
         output plus the degree range walked."""
         if t <= 0:
             return list(range(self.n))
-        t = -(-t.numerator // t.denominator) if isinstance(t, Fraction) \
-            else math.ceil(t)
+        t = math.ceil(t)
         out = []
         members = self.members
         for d in range(self.delta, t - 1, -1):

@@ -1,17 +1,17 @@
 """Exact ground truth at desk scale for everything the engines approximate.
 
-* ``exact_density``: maximum over nonempty S of |E[S]|/|S|, by binary search
-  over candidate rationals with an integral max-flow feasibility network
-  (source -> edge nodes -> endpoints -> sink).  Feasibility of p/q is tested
-  with capacities scaled by q, so every comparison is exact.  Distinct
-  subgraph densities differ by more than 1/(n(n-1)); once the search
-  interval is narrower than that, the answer is the unique rational with
-  denominator <= n inside it, and the min cut just below it yields a
-  witness set of exactly that density.
+* ``exact_density``: maximum over nonempty S of |E[S]|/|S| by Dinkelbach /
+  Goldberg iteration on an integral max-flow network (source -> edge nodes
+  -> endpoints -> sink, capacities scaled by the guess's denominator, so
+  every comparison is exact).  The min cut at guess g is a set S
+  maximising |E[S]| - g|S|; its density is the next guess, strictly
+  larger.  The loop stops when the flow saturates, which proves no set is
+  denser than the guess (Hakimi), while the last S reaches it.
 * ``exact_min_max_outdegree``: least k admitting an orientation with all
-  out-degrees <= k, same network with integer capacities; the integral flow
-  is the witness orientation.  Picard-Queyranne duality makes this
-  ceil(exact_density), which the acceptance suite cross-checks.
+  out-degrees <= k, by the same loop on integers (next k = ceil of the
+  cut set's density); the saturated flow at the final k is the witness
+  orientation.  Picard-Queyranne duality makes this ceil(exact_density),
+  which the acceptance suite cross-checks.
 * ``exact_density_enum`` / ``exact_arboricity``: full subset enumeration
   with an O(2^n) shared edge-count table; cross-checks the flow oracle and
   anchors the arboricity-based bounds.
@@ -20,6 +20,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -105,17 +106,16 @@ def _orientation_network(n: int, edges, p: int, q: int) -> _Dinic:
     return net
 
 
-def _density_feasible(n: int, edges, g: Fraction):
-    """Does an orientation with every fractional out-degree <= g exist?
-
-    Equivalent to |E[S]| <= g|S| for all S (Hakimi).  Returns (feasible,
-    network after max-flow) so callers can read the min cut.
-    """
-    p, q = g.numerator, g.denominator
-    net = _orientation_network(n, edges, p, q)
-    full = len(edges) * q
-    flow = net.max_flow(0, len(edges) + n + 1)
-    return flow == full, net
+def _denser_set(n: int, edges, g: Fraction):
+    """One max-flow at guess g; returns (net, S) with S maximising
+    |E[S]| - g|S|, or (net, None) when the flow saturates, i.e. no subgraph
+    is denser than g (Hakimi)."""
+    m = len(edges)
+    net = _orientation_network(n, edges, g.numerator, g.denominator)
+    if net.max_flow(0, m + n + 1) == m * g.denominator:
+        return net, None
+    side = net.source_side(0)
+    return net, [v for v in range(n) if (1 + m + v) in side]
 
 
 def exact_density(n: int, edges, limit: int = FLOW_LIMIT_DEFAULT):
@@ -129,41 +129,10 @@ def exact_density(n: int, edges, limit: int = FLOW_LIMIT_DEFAULT):
         raise OracleLimitError(
             f"flow density oracle capped at n <= {limit}, got {n}")
     edges = list(edges)
-    m = len(edges)
-    if m == 0:
-        return Fraction(0), []
-    lo = Fraction(0)             # infeasible (any edge forces density > 0)
-    hi = Fraction(m)             # feasible
-    gap = Fraction(1, n * n)     # below the spacing of distinct densities
-    while hi - lo > gap:
-        mid = (lo + hi) / 2
-        feasible, _ = _density_feasible(n, edges, mid)
-        if feasible:
-            hi = mid
-        else:
-            lo = mid
-    # rho is the unique candidate p/q, q <= n, inside (lo, hi].
-    rho = None
-    for q in range(1, n + 1):
-        p = (hi.numerator * q) // hi.denominator
-        cand = Fraction(p, q)
-        if cand > lo and (rho is None or cand > rho):
-            rho = cand
-    if rho is None:
-        raise AssertionError("density search interval lost its candidate")
-    feasible, _ = _density_feasible(n, edges, rho)
-    if not feasible:
-        raise AssertionError(f"candidate density {rho} is not feasible")
-    # Min cut just below rho: its source side is a densest subgraph.
-    probe = rho - Fraction(1, 2 * n * n)
-    feasible, net = _density_feasible(n, edges, probe)
-    if feasible:
-        raise AssertionError(f"density {rho} not tight from below")
-    side = net.source_side(0)
-    witness = sorted(v for v in range(n) if (1 + m + v) in side)
-    got = subgraph_density(witness, edges)
-    if got != rho:
-        raise AssertionError(f"witness density {got} != computed rho {rho}")
+    rho, witness = Fraction(0), []
+    while (found := _denser_set(n, edges, rho)[1]) is not None:
+        witness = found
+        rho = subgraph_density(witness, edges)
     return rho, witness
 
 
@@ -187,18 +156,11 @@ def exact_min_max_outdegree(n: int, edges, limit: int = FLOW_LIMIT_DEFAULT):
             f"flow orientation oracle capped at n <= {limit}, got {n}")
     edges = list(edges)
     m = len(edges)
-    if m == 0:
-        return 0, []
-    lo, hi = 0, m  # lo infeasible once lo=0 with m>0; hi always feasible
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        feasible, _ = _density_feasible(n, edges, Fraction(mid))
-        if feasible:
-            hi = mid
-        else:
-            lo = mid
-    k = hi
-    _, net = _density_feasible(n, edges, Fraction(k))
+    k = 0
+    net, found = _denser_set(n, edges, Fraction(k))
+    while found is not None:
+        k = math.ceil(subgraph_density(found, edges))
+        net, found = _denser_set(n, edges, Fraction(k))
     orientation = []
     for i, (u, v) in enumerate(edges):
         # The edge node's unit went to exactly one endpoint: that endpoint
@@ -217,7 +179,7 @@ def exact_min_max_outdegree(n: int, edges, limit: int = FLOW_LIMIT_DEFAULT):
     counts = [0] * n
     for tail, _ in orientation:
         counts[tail] += 1
-    if max(counts) > k:
+    if max(counts, default=0) > k:
         raise AssertionError("witness orientation exceeds k")
     return k, orientation
 

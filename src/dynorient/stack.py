@@ -71,9 +71,6 @@ class OrientationStack:
     def max_simple_out_degree(self) -> int:
         return self.rounding.max_simple_out_degree()
 
-    def max_multigraph_out_degree(self) -> int:
-        return self.tracker.delta
-
     # -- applications ---------------------------------------------------------
     # Listeners replay nothing: attach them before the first update.
 

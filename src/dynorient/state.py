@@ -211,11 +211,6 @@ class EngineCore:
         cba = self.e_cnt[eba] if eba >= 0 else 0
         return (cab, cba) if u == a else (cba, cab)
 
-    def max_out_degree(self) -> int:
-        """Max out-degree in the oriented multigraph, by scan.  The density
-        layer tracks this incrementally; this is the slow audit path."""
-        return max(self.out_deg, default=0)
-
     # ------------------------------------------------------------------
     # Round-robin ring mechanics.
     # ------------------------------------------------------------------
@@ -803,12 +798,11 @@ class EngineCore:
                 bad.append(f"vertex {v}: bucket map size mismatch")
         if len(bucket_seen) != len(seen_entries):
             bad.append("some live entries are missing from buckets")
-        # Recorded degrees: exact in basic mode, exact whenever the ring is
-        # narrower than the round-robin width in fast mode.
-        rr = self.cfg.rr_width
+        # Recorded degrees are exact whenever the ring fits in the refresh
+        # window: always in exact mode (window n), up to rr_width in fast.
         for eid in seen_entries:
             t = self.e_tail[eid]
-            if not self.fast_mode or self.out_sz[t] <= rr:
+            if self.out_sz[t] <= self.window:
                 if self.e_perc[eid] != self.out_deg[t]:
                     bad.append(
                         f"entry {eid}: recorded degree {self.e_perc[eid]} "

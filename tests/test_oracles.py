@@ -29,7 +29,7 @@ def _random_graph(rng, n, m_target):
 
 class TestExactDensity:
     def test_empty_graph(self):
-        assert exact_density(5, [])[0] == 0
+        assert exact_density(5, []) == (0, [])
 
     def test_k4(self):
         rho, witness = exact_density(4, clique_edges(4))
@@ -42,9 +42,26 @@ class TestExactDensity:
         assert rho == Fraction(2)
         assert set(witness) == set(range(5))
 
+    def test_isolated_vertices(self):
+        # A triangle among isolated vertices: the witness skips them.
+        rho, witness = exact_density(7, [(1, 3), (3, 5), (1, 5)])
+        assert rho == 1
+        assert witness == [1, 3, 5]
+
+    def test_two_k4s_plus_pendant_path(self):
+        # Two disjoint K4s tie at 3/2; the pendant path only dilutes.
+        edges = (clique_edges(4) + [(u + 4, v + 4) for u, v in clique_edges(4)]
+                 + path_edges(7, 11))
+        rho, witness = exact_density(11, edges)
+        assert rho == Fraction(3, 2) == exact_density_enum(11, edges)
+        assert subgraph_density(witness, edges) == Fraction(3, 2)
+        assert exact_min_max_outdegree(11, edges)[0] == 2
+
     def test_limit_enforced(self):
         with pytest.raises(OracleLimitError):
             exact_density(61, [])
+        with pytest.raises(OracleLimitError):
+            exact_min_max_outdegree(61, [])
         with pytest.raises(OracleLimitError):
             exact_density_enum(21, [])
         with pytest.raises(OracleLimitError):
@@ -52,6 +69,14 @@ class TestExactDensity:
 
 
 class TestExactOrientation:
+    def test_empty_graph(self):
+        assert exact_min_max_outdegree(6, []) == (0, [])
+
+    def test_isolated_vertices(self):
+        k, orientation = exact_min_max_outdegree(6, [(1, 4)])
+        assert k == 1
+        assert orientation in ([(1, 4)], [(4, 1)])
+
     def test_cycle_and_star(self):
         c5 = [(i, (i + 1) % 5) for i in range(5)]
         assert exact_min_max_outdegree(5, c5)[0] == 1
