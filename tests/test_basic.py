@@ -137,3 +137,17 @@ def test_density_stays_honest_on_small_random_graph():
     rho, _ = exact_density(20, sorted(fz.live_set))
     # any orientation of the duplicated graph has max degree >= b * rho
     assert stack.tracker.delta >= cfg.b * rho
+
+
+@pytest.mark.parametrize("builder", [OrientationConfig.simple_additive,
+                                     OrientationConfig.simple_multiplicative],
+                         ids=["simple-additive", "simple-multiplicative"])
+def test_recorded_degrees_exact_after_every_update(builder):
+    # Recorded degrees may lag inside an insert, never at an update
+    # boundary: structural_violations checks each against the exact degree.
+    n = 24
+    stack = OrientationStack(builder(n))
+    fz = Fuzzer(stack, seed=31, delete_bias=0.3, max_edges=6 * n)
+    for _ in range(600):
+        fz.step()
+        assert stack.engine.structural_violations() == []

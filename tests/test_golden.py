@@ -50,26 +50,38 @@ def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def snapshot(preset: str, audit_hooks: bool = False) -> tuple:
-    """Replay the pinned workload under ``preset``; return the digests and
-    the number of ``counts_changed`` notifications rounding received."""
+def snapshot(preset: str, audit_hooks: bool = False, steps: int = STEPS,
+             max_edges: int = 2 * N) -> tuple:
+    """Replay a seeded ``random`` workload under ``preset`` (the pinned one
+    by default); return the digests, the number of ``counts_changed``
+    notifications rounding received and the number of ``move_bucket``
+    calls the engine made."""
     hasher = EventHasher()
     stack = OrientationStack(BUILDERS[preset](N), recorder=hasher,
                              audit_hooks=audit_hooks)
     notified = 0
+    moves = 0
     counts_changed = stack.rounding.counts_changed
+    move_bucket = stack.engine.move_bucket
 
     def counting(*args):
         nonlocal notified
         notified += 1
         counts_changed(*args)
 
+    def counting_moves(*args):
+        nonlocal moves
+        moves += 1
+        move_bucket(*args)
+
     stack.rounding.counts_changed = counting
+    stack.engine.move_bucket = counting_moves
     matching = stack.attach_matching()
     coloring = stack.attach_coloring()
     forests = stack.attach_forests()
     matvec = stack.attach_matvec()
-    _, ops = parse_workload(generate("random", N, STEPS, seed=SEED))
+    _, ops = parse_workload(generate("random", N, steps, seed=SEED,
+                                     max_edges=max_edges))
     for op in ops:
         if op.kind == "+":
             stack.insert(op.u, op.v)
@@ -82,12 +94,12 @@ def snapshot(preset: str, audit_hooks: bool = False) -> tuple:
                  sorted(forests.by_edge.items()), matvec.s))
     return (f"{hasher.digest:016x}", hasher.count, engine.total_copy_flips,
             engine.total_suppressed, stack.rounding.total_simple_flips,
-            state, apps), notified
+            state, apps), notified, moves
 
 
 @pytest.mark.parametrize("preset", sorted(BUILDERS))
 def test_golden_digest(preset):
-    digests, notified = snapshot(preset)
+    digests, notified, _ = snapshot(preset)
     assert digests == GOLDEN[preset]
     # Rounding hears of each copy flip once, and of no other copy change:
     # a pair being placed or drained is invisible to it.
@@ -99,8 +111,40 @@ def test_golden_digest(preset):
 def test_golden_digest_with_audit_hooks(preset):
     # The in-flight audits only read state: the same digests, and none of
     # them fails on the pinned workload.
-    digests, _ = snapshot(preset, audit_hooks=True)
+    digests, _, _ = snapshot(preset, audit_hooks=True)
     assert digests == GOLDEN[preset]
+
+
+# Bucket re-keys (``engine.move_bucket`` calls) on the pinned workload: the
+# work a refresh does, which the digests above cannot see.
+MOVES = {
+    "simple-additive": 2428,
+    "simple-multiplicative": 45106,
+    "fast-additive": 25027,
+    "fast-multiplicative": 52136,
+    "eps-density": 353093,
+}
+
+
+@pytest.mark.parametrize("preset", sorted(BUILDERS))
+def test_golden_move_bucket_calls(preset):
+    _, _, moves = snapshot(preset)
+    assert moves == MOVES[preset]
+
+
+# Dense churn on the exact engine (6n edge cap, twice the steps): many
+# inserts re-commit a vertex after another vertex committed, so the order in
+# which an insert refreshes rings shows in the bucket sibling order, and
+# through it in which in-neighbour each later deletion flips toward.
+DENSE_GOLDEN = ("321305b053ec08e7", 66105, 3105, 327, 416,
+                "c5abf0d379d41716", "8ac98cee55621c05")
+
+
+def test_golden_digest_dense_churn():
+    digests, notified, _ = snapshot("simple-multiplicative", steps=3000,
+                                    max_edges=6 * N)
+    assert digests == DENSE_GOLDEN
+    assert notified == digests[2]
 
 
 # Stale-degree regime: with b=1 and eta=99/100 the round-robin window is
