@@ -38,12 +38,13 @@ class EngineCore:
     flips toward the out-neighbor that the engine's ``_scan`` picks until
     the scan finds none; after a copy is removed, ``_delete_chain`` flips
     toward the in-neighbor with the largest recorded degree while the guard
-    holds.  Flips go through ``_flip_copy`` and the final ±1 through
-    ``_commit``.  Subclasses provide only ``_scan`` and, for audit builds,
-    the ``_audit_post_*`` hooks run after each commit.  The core also owns
-    the pair registry, the ring/bucket mechanics and the bucket key (exact
-    degree, or its geometric index in fast mode), event emission, and the
-    per-update counters.
+    holds.  Flips go through ``_flip_copy``, the final ±1 through
+    ``_commit`` and the ring update through ``_refresh``.  Subclasses
+    provide only ``_scan`` and, for audit builds, the ``_audit_post_*``
+    hooks run after each commit.  The core also owns the pair registry,
+    the ring/bucket mechanics and the bucket key (exact degree, or its
+    geometric index in fast mode), event emission, and the per-update
+    counters.
     """
 
     #: True when in-buckets are keyed by the geometric index of a perceived
@@ -135,12 +136,18 @@ class EngineCore:
         self._reset_op_counters()
         out_deg = self.out_deg
         rec = self.recorder
+        # Exact mode: vertex -> final degree, in last-commit order; see
+        # _insert_chain.
+        pending = None if self.fast_mode else {}
         for _ in range(self.b):
             t, h = (u, v) if out_deg[u] <= out_deg[v] else (v, u)
             self._add_copy(t, h, pid)
             if rec is not None:
                 rec.emit(ev.COPY_ADDED, t, h)
-            self._insert_chain(t)
+            self._insert_chain(t, pending)
+        if pending:
+            for w, d in pending.items():
+                self._refresh(w, d)
         self.m_simple += 1
         self.updates += 1
         if rec is not None:
@@ -542,13 +549,10 @@ class EngineCore:
             self._audit_critical_ineq(t, h)
 
     def _commit(self, u: int, d: int) -> None:
-        """Set u's out-degree to d, announce it, and tell the next
-        ``window`` out-neighbors of u, from its cursor, leaving the cursor
-        after the last one told.
-
-        The bucket key of d is computed once; only entries whose recorded
-        degree differs are moved, each through ``self.move_bucket``.
-        """
+        """Set u's out-degree to d and announce it to the degree listener
+        and the recorder.  The out-neighbors hear of it through
+        ``_refresh``, which the chains call after the commit or, for an
+        exact-mode insert, once per vertex at the end of the insert."""
         self.out_deg[u] = d
         dl = self.degree_listener
         if dl is not None:
@@ -556,6 +560,14 @@ class EngineCore:
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
+
+    def _refresh(self, u: int, d: int) -> None:
+        """Tell the next ``window`` out-neighbors of u, from its cursor,
+        that u's out-degree is d, leaving the cursor after the last one told.
+
+        The bucket key of d is computed once; only entries whose recorded
+        degree differs are moved, each through ``self.move_bucket``.
+        """
         k = self.out_sz[u]
         if self.window < k:
             k = self.window
@@ -575,10 +587,21 @@ class EngineCore:
     # Flip chains.
     # ------------------------------------------------------------------
 
-    def _insert_chain(self, t: int) -> None:
+    def _insert_chain(self, t: int, pending: dict | None) -> None:
         """Restore the invariant after a copy was added out of t: flip
         toward the out-neighbor the scan picks until it picks none, then
-        commit the +1 where the chain stopped."""
+        commit the +1 where the chain stopped.
+
+        In fast mode (``pending`` None) the commit refreshes the ring at
+        once.  In exact mode nothing inside an insert reads a recorded
+        degree (the scan compares exact degrees), so the refresh waits:
+        the vertex is moved to the end of ``pending`` with its new degree,
+        and ``insert`` refreshes each ring once after the last copy, in
+        last-commit order.  That is the order of each entry's last bucket
+        move had every commit refreshed at once, so the bucket sibling
+        order, which picks a later deletion's flip candidate among equal
+        keys, stays the same; first-commit order would change it.
+        """
         out_deg = self.out_deg
         e_head = self.e_head
         scan = self._scan
@@ -591,7 +614,13 @@ class EngineCore:
             e = scan(t, out_deg[t])
         if chain > self.last_chain:
             self.last_chain = chain
-        self._commit(t, out_deg[t] + 1)
+        d = out_deg[t] + 1
+        self._commit(t, d)
+        if pending is None:
+            self._refresh(t, d)
+        else:
+            pending.pop(t, None)
+            pending[t] = d
         if self.audit_hooks:
             self._audit_post_increment(t)
 
@@ -621,7 +650,9 @@ class EngineCore:
             u = x
         if chain > self.last_chain:
             self.last_chain = chain
-        self._commit(u, out_deg[u] - 1)
+        d = out_deg[u] - 1
+        self._commit(u, d)
+        self._refresh(u, d)
         if self.audit_hooks:
             self._audit_post_decrement(u)
 
@@ -798,8 +829,10 @@ class EngineCore:
                 bad.append(f"vertex {v}: bucket map size mismatch")
         if len(bucket_seen) != len(seen_entries):
             bad.append("some live entries are missing from buckets")
-        # Recorded degrees are exact whenever the ring fits in the refresh
-        # window: always in exact mode (window n), up to rr_width in fast.
+        # At update boundaries recorded degrees are exact whenever the ring
+        # fits in the refresh window: always in exact mode (window n), up to
+        # rr_width in fast.  Inside an exact-mode insert they lag until the
+        # end-of-insert refresh; see _insert_chain.
         for eid in seen_entries:
             t = self.e_tail[eid]
             if self.out_sz[t] <= self.window:
