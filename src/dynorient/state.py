@@ -126,7 +126,9 @@ class EngineCore:
     def insert(self, u: int, v: int) -> None:
         """Insert simple edge {u, v}: b copies, each routed to the endpoint
         with the smaller current out-degree (ties toward u), with the
-        invariant restored by the engine's flip chain after each copy."""
+        invariant restored by the engine's flip chain after each copy.  In
+        exact mode the ring of each vertex that committed is refreshed once,
+        after the last copy."""
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
         key = a * self.n + c
