@@ -12,12 +12,12 @@ smallest k whose next set grows by less than a (1+gamma) factor, and returns
 T_(k+1); the density of that set is at least estimate/((1+gamma)(1+eta/b)^k)
 because no vertex of T_k can orient a copy outside T_(k+1).
 
-One ``DensityTracker`` does both jobs: it listens to the engine's degree
-stream, indexing degrees by per-degree vertex sets and the tracked maximum
-so a ±1 degree change costs O(1), and it answers the density and
-densest-subgraph queries.  Threshold counting and extraction both walk the
-degree range down from the maximum; that cost falls on queries, not on
-updates.
+One ``DensityTracker`` listens to the engine's degree stream and answers
+the queries.  It keeps the vertices in one permutation sorted by out-degree
+and counts, per degree, the vertices that reach it (Batagelj-Zaversnik bin
+sort).  The engine only sends +1 and -1 changes, each one swap and one
+counter step; a threshold count is one lookup and the vertices above it a
+prefix of the permutation.  Tied vertices sit in the order swaps left them.
 """
 
 from __future__ import annotations
@@ -42,73 +42,60 @@ class DensityReport:
 
 
 class DensityTracker:
-    """Per-degree index over exact multigraph out-degrees, and the density
-    queries read off it.
+    """The vertices sorted by exact multigraph out-degree, and the density
+    queries read off them.
 
-    Subscribed to the engine's degree stream; tracks the maximum and answers
-    "how many / which vertices have out-degree >= t" by walking the degrees
-    from the maximum down to t.
+    ``order`` lists every vertex by out-degree, descending; ``pos`` is its
+    inverse.  ``ge[d]`` counts the vertices of out-degree >= d; it grows by
+    one entry when the maximum ``delta`` first reaches a degree.
     """
 
     def __init__(self, cfg: OrientationConfig):
         self.cfg = cfg
-        n = cfg.capacity
-        self.n = n
-        self.deg = [0] * n
+        self.n = n = cfg.capacity
+        self.order = list(range(n))
+        self.pos = list(range(n))
+        self.ge = [n]
         self.delta = 0
-        # Per-degree vertex sets for counting and traversal, insertion-ordered.
-        self.members: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
     # Engine hook.
     # ------------------------------------------------------------------
 
     def degree_changed(self, u: int, d: int) -> None:
-        old = self.deg[u]
-        self.deg[u] = d
-        if old > 0:
-            bucket = self.members[old]
-            del bucket[u]
-            if not bucket:
-                del self.members[old]
-        if d > 0:
-            self.members.setdefault(d, {})[u] = None
-        if d > self.delta:
+        """u's out-degree is now d; the engine only sends +1 and -1 steps.
+        u still sits among its old degree, so ``pos[u] >= ge[d]`` marks a
+        +1.  u swaps with the vertex at the boundary of the two degrees, and
+        the boundary moves past it."""
+        ge = self.ge
+        if d == len(ge):
+            ge.append(0)
+        order, pos = self.order, self.pos
+        i = pos[u]
+        j = ge[d]
+        if i >= j:
+            ge[d] = j + 1
+        else:
+            j = ge[d + 1] - 1
+            ge[d + 1] = j
+        if j == 0:              # no other vertex is above d
             self.delta = d
-        elif old == self.delta and d < old:
-            m = self.delta
-            members = self.members
-            while m > 0 and m not in members:
-                m -= 1
-            self.delta = m
+        w = order[j]
+        order[i], order[j] = w, u
+        pos[w], pos[u] = i, j
 
     # ------------------------------------------------------------------
     # Queries.
     # ------------------------------------------------------------------
 
     def count_at_least(self, t) -> int:
-        """Number of vertices with out-degree >= t (t may be a Fraction);
-        linear in the degree range walked."""
-        if t <= 0:
-            return self.n
-        t = math.ceil(t)
-        members = self.members
-        return sum(len(members[d]) for d in range(self.delta, t - 1, -1)
-                   if d in members)
+        """Number of vertices with out-degree >= t (t may be a Fraction)."""
+        t = max(math.ceil(t), 0)
+        return self.ge[t] if t < len(self.ge) else 0
 
     def vertices_at_least(self, t) -> list[int]:
-        """Vertices with out-degree >= t, degree descending; linear in the
-        output plus the degree range walked."""
-        if t <= 0:
-            return list(range(self.n))
-        t = math.ceil(t)
-        out = []
-        members = self.members
-        for d in range(self.delta, t - 1, -1):
-            bucket = members.get(d)
-            if bucket:
-                out.extend(bucket)
-        return out
+        """Vertices with out-degree >= t, degree descending."""
+        return self.order[:self.count_at_least(t)]
 
     def value(self) -> Fraction:
         """Raw estimate Delta(multigraph)/b, defined for every preset."""
@@ -173,18 +160,27 @@ class DensityTracker:
     # ------------------------------------------------------------------
 
     def violations(self, engine) -> list[str]:
+        """Recount from ``engine.out_deg``: permutation and inverse, degrees
+        non-increasing along ``order``, ``ge`` by counting sort, ``delta``."""
         bad = []
-        if self.deg != engine.out_deg:
-            bad.append("density tracker degrees diverge from the engine")
-        if self.delta != max(engine.out_deg, default=0):
+        deg = engine.out_deg
+        order = self.order
+        if sorted(order) != list(range(self.n)) \
+                or any(self.pos[u] != i for i, u in enumerate(order)):
+            bad.append("density tracker order/pos is not a permutation")
+        elif any(deg[u] < deg[w] for u, w in zip(order, order[1:])):
+            bad.append("density tracker order is not degree-descending")
+        top = max(deg, default=0)
+        if self.delta != top:
             bad.append("density tracker max degree is stale")
-        for d, bucket in self.members.items():
-            for u in bucket:
-                if self.deg[u] != d:
-                    bad.append(f"vertex {u} filed under degree {d}")
-        total = sum(len(b) for b in self.members.values())
-        if total != self.count_at_least(1):
-            bad.append("density tracker counts are inconsistent")
+        ge = self.ge
+        want = [0] * (max(top + 1, len(ge)) + 1)
+        for x in deg:
+            want[x] += 1
+        for d in range(len(want) - 2, -1, -1):
+            want[d] += want[d + 1]
+        if top >= len(ge) or ge != want[:len(ge)]:
+            bad.append("density tracker counts disagree with a recount")
         return bad
 
     def no_escape_violations(self, report: DensityReport,
@@ -193,7 +189,7 @@ class DensityTracker:
         bad = []
         if not report.thresholds:
             return bad  # empty graph
-        deg = self.deg
+        deg = engine.out_deg
         t_k = report.thresholds[report.k]
         t_k1 = report.thresholds[report.k + 1]
         for u in self.vertices_at_least(t_k):

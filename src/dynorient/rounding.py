@@ -130,7 +130,7 @@ class RoundedOrientation:
             ls.on_degree(tail, self.simple_out[tail])
 
     # ------------------------------------------------------------------
-    # Degree histogram with a lazily settling maximum.
+    # Degree histogram and its maximum; degrees move by one at a time.
     # ------------------------------------------------------------------
 
     def _deg_up(self, u: int) -> None:
@@ -151,10 +151,7 @@ class RoundedOrientation:
         hist[d - 1] += 1
         self.simple_out[u] = d - 1
         if d == self._max and hist[d] == 0:
-            m = self._max
-            while m > 0 and hist[m] == 0:
-                m -= 1
-            self._max = m
+            self._max = d - 1             # where u now sits
 
     # ------------------------------------------------------------------
     # Audit.

@@ -91,6 +91,18 @@ class TestForests:
         assert stack.forests.forest_count() \
             <= 2 * stack.max_simple_out_degree()
 
+    def test_assignment_matches_records_and_count(self):
+        stack = _stack(forests=True)
+        Fuzzer(stack, seed=71).run(300)
+        forests = stack.forests
+        got = forests.assignment()
+        assert set(got) == set(stack.rounding.edges())
+        for (tail, head), slot_side in got.items():
+            rec = forests.by_edge[forests._key(tail, head)]
+            assert (rec[0], rec[1]) == (tail, head)
+            assert (rec[2], rec[3]) == slot_side
+        assert len(set(got.values())) == forests.forest_count()
+
     def test_cycle_splits_across_the_side_pair(self):
         # Force a simple directed cycle into one pseudoforest by hand and
         # check the side rule separates it.

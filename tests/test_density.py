@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dynorient import (
     ConfigError,
@@ -24,17 +26,27 @@ def test_first_degree_sets_delta():
 def test_decrement_of_unique_maximum_recomputes_delta():
     from dynorient.density import DensityTracker
 
+    # The engine commits one +1 or -1 at a time; feed the tracker the same.
     tracker = DensityTracker(OrientationConfig.simple_additive(8))
-    tracker.degree_changed(0, 1)
-    tracker.degree_changed(1, 3)
-    tracker.degree_changed(2, 2)
+    deg = [0] * 8
+
+    def step(u, d):
+        assert abs(d - deg[u]) == 1
+        deg[u] = d
+        tracker.degree_changed(u, d)
+
+    for u, top in ((0, 1), (1, 3), (2, 2)):
+        for d in range(1, top + 1):
+            step(u, d)
     assert tracker.delta == 3
-    tracker.degree_changed(1, 2)   # the unique maximum drops
+    step(1, 2)   # the unique maximum drops
     assert tracker.delta == 2
-    tracker.degree_changed(1, 0)
-    tracker.degree_changed(2, 0)
+    step(1, 1)
+    step(1, 0)
+    step(2, 1)
+    step(2, 0)
     assert tracker.delta == 1
-    tracker.degree_changed(0, 0)
+    step(0, 0)
     assert tracker.delta == 0
 
 
@@ -45,13 +57,64 @@ def test_tracker_matches_true_maximum_under_churn(any_preset_cfg):
         fz.step()
         if i % 250 == 0:
             tracker = stack.tracker
-            assert tracker.delta == max(stack.engine.out_deg)
+            deg = stack.engine.out_deg
+            assert tracker.delta == max(deg)
             assert tracker.violations(stack.engine) == []
             d = tracker.delta
             for t in (-1, 0, 1, 2, Fraction(5, 2), Fraction(d, 2), d - 1, d,
                       d + Fraction(1, 3), d + 1, 10 * d + 7):
                 assert tracker.count_at_least(t) == \
-                    sum(x >= t for x in tracker.deg), t
+                    sum(x >= t for x in deg), t
+                got = tracker.vertices_at_least(t)
+                assert set(got) == {v for v, x in enumerate(deg) if x >= t}
+                assert all(deg[a] >= deg[b] for a, b in zip(got, got[1:]))
+
+
+@st.composite
+def _walks(draw):
+    """2 <= n <= 8 and moves: '+' and '-' step one vertex; '0' steps a vertex
+    down to 0; 'T' steps every vertex of the top degree down by one."""
+    n = draw(st.integers(2, 8))
+    moves = draw(st.lists(st.tuples(st.sampled_from("+-0T"),
+                                    st.integers(0, n - 1)), max_size=60))
+    return n, moves
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@example((3, [("+", 0), ("+", 0), ("+", 1), ("T", 0), ("T", 0), ("+", 2)]))
+@example((2, [("+", 0), ("+", 1), ("+", 1), ("0", 1), ("0", 0), ("+", 1)]))
+@given(_walks())
+def test_tracker_follows_unit_walks(walk):
+    from dynorient.density import DensityTracker
+
+    n, moves = walk
+    tracker = DensityTracker(OrientationConfig.simple_additive(n))
+    deg = [0] * n
+    stub = SimpleNamespace(out_deg=deg)
+
+    def step(u, d):
+        deg[u] = d
+        tracker.degree_changed(u, d)
+        top = max(deg)
+        assert tracker.delta == top
+        for t in list(range(-1, top + 3)) + [Fraction(top, 3)]:
+            want = {v for v, x in enumerate(deg) if x >= t}
+            assert tracker.count_at_least(t) == len(want), t
+            assert set(tracker.vertices_at_least(t)) == want, t
+        assert tracker.violations(stub) == []
+
+    for kind, u in moves:
+        if kind == "+" or (kind == "-" and deg[u] == 0):
+            step(u, deg[u] + 1)
+        elif kind == "-":
+            step(u, deg[u] - 1)
+        elif kind == "0":
+            while deg[u]:
+                step(u, deg[u] - 1)
+        else:
+            top = max(deg)
+            for v in [v for v in range(n) if top and deg[v] == top]:
+                step(v, top - 1)
 
 
 def test_empty_graph_estimates_zero():

@@ -136,6 +136,15 @@ def test_audit_flags_injected_corruption():
     assert len(bad) == 1 and "stale" in bad[0]
     stack.tracker.delta -= 1
     assert audit_state(stack) == []
+    # two vertices of different degree trade places in the sorted order
+    tracker = stack.tracker
+    deg = stack.engine.out_deg
+    order = tracker.order
+    i = next(i for i in range(1, 16) if deg[order[i]] != deg[order[0]])
+    order[0], order[i] = order[i], order[0]
+    assert any("density tracker" in line for line in audit_state(stack))
+    order[0], order[i] = order[i], order[0]
+    assert audit_state(stack) == []
     # a corrupted recorded degree is caught by the structural sweep
     engine = stack.engine
     eid = next(e for v in range(16) for e in engine.out_entries(v))
