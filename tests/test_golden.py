@@ -155,6 +155,17 @@ STALE_GOLDEN = ("d630db37b540bfd6", 148213, 208, "3e70ff2877679890",
                 1435, "a2894235a1e8c734")
 
 
+def _live_entries(engine) -> list:
+    return [eid for pid in engine.pairs.values()
+            for eid in (engine.p_eab[pid], engine.p_eba[pid]) if eid >= 0]
+
+
+def _stale_count(engine) -> int:
+    """Live entries whose recorded degree differs from the tail's exact one."""
+    return sum(1 for eid in _live_entries(engine)
+               if engine.e_perc[eid] != engine.out_deg[engine.e_tail[eid]])
+
+
 def test_golden_digest_stale_regime():
     cfg = OrientationConfig(STALE_N, Fraction(99, 100), 1, 1, theta=1)
     assert cfg.rr_width == 130
@@ -170,12 +181,37 @@ def test_golden_digest_stale_regime():
     assert audit_state(stack) == []
     engine = stack.engine
     assert max(engine.out_sz) > cfg.rr_width
-    live = [eid for pid in engine.pairs.values()
-            for eid in (engine.p_eab[pid], engine.p_eba[pid]) if eid >= 0]
-    stale = sum(1 for eid in live
-                if engine.e_perc[eid] != engine.out_deg[engine.e_tail[eid]])
+    live = _live_entries(engine)
+    stale = _stale_count(engine)
     assert stale > 0
     recorded = sorted((engine.e_tail[eid], engine.e_head[eid],
                        engine.e_perc[eid]) for eid in live)
     assert (f"{hasher.digest:016x}", hasher.count, engine.total_copy_flips,
             _sha(engine.out_deg), stale, _sha(recorded)) == STALE_GOLDEN
+
+
+# Stale regime with b > 1: fast-multiplicative (b=12) with the window cut to
+# 4, so rings outgrow it and an insert's copies commit while some ring is
+# longer than the window.  Pinned: event digest and count, copy flips and the
+# number of stale recorded degrees.
+SMALL_WINDOW_N = 48
+SMALL_WINDOW_GOLDEN = ("383d2e2dd4e1b461", 59567, 9567, 5)
+
+
+def test_golden_digest_small_window():
+    cfg = OrientationConfig.fast_multiplicative(SMALL_WINDOW_N)
+    cfg.rr_width = 4
+    hasher = EventHasher()
+    stack = OrientationStack(cfg, recorder=hasher)
+    _, ops = parse_workload(generate("random", SMALL_WINDOW_N, 2000, seed=2,
+                                     max_edges=2 * SMALL_WINDOW_N))
+    for op in ops:
+        if op.kind == "+":
+            stack.insert(op.u, op.v)
+        else:
+            stack.delete(op.u, op.v)
+    assert audit_state(stack) == []
+    engine = stack.engine
+    assert max(engine.out_sz) == 6 > engine.window
+    assert (f"{hasher.digest:016x}", hasher.count, engine.total_copy_flips,
+            _stale_count(engine)) == SMALL_WINDOW_GOLDEN
