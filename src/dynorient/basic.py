@@ -10,10 +10,10 @@ read off the bucket heads.
 This module holds only the insert scan, a full argmin over the ring.  The
 chains, flips and commits run in ``EngineCore``.  In exact mode in-buckets
 are keyed by the exact out-degree of the in-neighbor, and a refresh tells
-the whole ring, so a degree change re-files the vertex in all of its
-out-neighbors' bucket lists: after each commit of a deletion, and once per
-committed vertex at the end of an insertion, in last-commit order (the
-order that keeps the bucket sibling order of a refresh after every commit).
+the whole ring (the window is n, so no ring outgrows it), so a degree change
+re-files the vertex in all of its out-neighbors' bucket lists: after each
+commit of a deletion, and once per committed vertex at the end of an
+insertion, in last-commit order; see ``EngineCore._insert_chain``.
 
 A flip only happens when it strictly advances the chain (insert: toward a
 smaller degree, delete: toward a larger one).  The guards already imply

@@ -57,6 +57,18 @@ class DensityTracker:
         self.pos = list(range(n))
         self.ge = [n]
         self.delta = 0
+        # The thresholds depend only on delta and the config.  Per delta:
+        # V_0, V_1, ... and their integer cut-offs ceil(V_i), extended as far
+        # as a report has needed.  ``_steps[i]`` holds (1+eta/b)^(-i) and
+        # c * sum_{j<=i} (1+eta/b)^(-j), so V_i = delta * first - second.
+        self._levels: dict[int, tuple[list, list[int]]] = {}
+        self._steps = [(Fraction(1), Fraction(0))]
+        self._k_cap = math.ceil(math.log(cfg.capacity)
+                                / math.log(1 + cfg.gamma)) + 1
+        # sizes[i] < (1 + gamma) * sizes[i-1] as grow[1] * sizes[i] <
+        # grow[0] * sizes[i-1], in integers.
+        g = cfg.gamma
+        self._grow = (g.denominator + g.numerator, g.denominator)
 
     # ------------------------------------------------------------------
     # Engine hook.
@@ -123,30 +135,25 @@ class DensityTracker:
         delta = self.delta
         if delta == 0:
             return DensityReport(Fraction(0), 0, 0, [], [])
-        ratio = 1 / (1 + cfg.slack)        # (1+eta/b)^(-1), exact
-        c = cfg.c
-        k_cap = math.ceil(math.log(cfg.capacity) / math.log(1 + cfg.gamma)) + 1
-        one_plus_gamma = 1 + cfg.gamma
-
-        thresholds = [Fraction(delta)]
+        levels = self._levels.get(delta)
+        if levels is None:
+            levels = self._levels[delta] = ([Fraction(delta)], [delta])
+        thresholds, cuts = levels
+        grow, base = self._grow
         sizes = [self.count_at_least(delta)]
-        power = Fraction(1)
-        csum = Fraction(0)
         k = -1
-        for i in range(1, k_cap + 2):
-            power *= ratio
-            csum += power
-            v_i = delta * power - c * csum
-            thresholds.append(v_i)
-            sizes.append(self.count_at_least(v_i))
-            if sizes[i] < one_plus_gamma * sizes[i - 1]:
+        for i in range(1, self._k_cap + 2):
+            if i == len(cuts):
+                self._extend(delta, thresholds, cuts)
+            sizes.append(self.count_at_least(cuts[i]))
+            if base * sizes[i] < grow * sizes[i - 1]:
                 k = i - 1
                 break
         if k < 0:
             raise CorruptionError(
                 "no qualifying threshold index within the growth cap; "
                 "the (1+gamma)^k <= n argument excludes this")
-        vertices = self.vertices_at_least(thresholds[k + 1])
+        vertices = self.vertices_at_least(cuts[k + 1])
         return DensityReport(
             estimate=Fraction(delta, cfg.b),
             k=k,
@@ -154,6 +161,19 @@ class DensityTracker:
             thresholds=thresholds[:k + 2],
             vertices=vertices,
         )
+
+    def _extend(self, delta: int, thresholds: list, cuts: list) -> None:
+        """Append V_i and ceil(V_i), i = len(thresholds), to delta's lists."""
+        i = len(thresholds)
+        steps = self._steps
+        if i == len(steps):
+            power, offset = steps[-1]
+            power /= 1 + self.cfg.slack
+            steps.append((power, offset + self.cfg.c * power))
+        power, offset = steps[i]
+        v = delta * power - offset
+        thresholds.append(v)
+        cuts.append(math.ceil(v))
 
     # ------------------------------------------------------------------
     # Audits.

@@ -5,10 +5,14 @@ Differences from the exact engine:
 * Insertion scans at most ceil(128/(eta/b)) out-neighbors from the
   round-robin cursor instead of taking a full argmin, flipping at the first
   violation it sees (checked against *exact* degrees) and refreshing the
-  recorded degree of the chain head at every scanned neighbor.
-* After a committed increment or decrement, the vertex informs the next
+  recorded degree of the chain head at every scanned neighbor, unless the
+  head waits for an end-of-insert refresh (below), which covers them.
+* After a committed decrement, the vertex informs the next
   ceil(128/(eta/b)) out-neighbors of its new degree; everyone else keeps a
-  stale *perceived* value.
+  stale *perceived* value.  An insert does the same after each committed
+  increment once some ring is longer than that window.  Until then every
+  window covers the whole ring, and the core refreshes each ring once,
+  after the insert's last copy, as in the exact engine.
 * In-buckets are keyed geometrically: an in-neighbor with perceived degree p
   sits in bucket j iff (1 + slack/64)^j <= p < (1 + slack/64)^(j+1), so a
   refresh moves it by O(1) buckets.  Deletion reads its flip candidate and
@@ -20,8 +24,9 @@ Differences from the exact engine:
 The same strict-progress condition as the exact engine gates flips (exact
 degrees on both sides); see that module's docstring.  As there, this module
 holds only the insert scan, plus the staleness-lemma audits the core calls
-after each commit in audit builds.  The core picks the halved guard and the
-rr_width window in fast mode, and runs the chains, flips and commits.
+after each commit in audit builds (after the refresh, for a deferred one).
+The core picks the halved guard and the rr_width window in fast mode, and
+runs the chains, flips and commits.
 """
 
 from __future__ import annotations
@@ -36,7 +41,10 @@ class FastEngine(EngineCore):
 
     def _scan(self, t: int, dt: int) -> int:
         # First violation within the window from the cursor, checked against
-        # exact degrees; every entry passed over learns t's degree.
+        # exact degrees; every entry passed over learns t's degree, unless t
+        # waits for the flush, which re-keys its whole ring.
+        pending = self.pending
+        rekey = pending is None or t not in pending
         lhs, rhs, add = self.guard
         lhs *= dt + 1
         out_deg = self.out_deg
@@ -57,7 +65,7 @@ class FastEngine(EngineCore):
                     return e
                 self.last_suppressed += 1
                 self.total_suppressed += 1
-            if e_perc[e] != dt:
+            if rekey and e_perc[e] != dt:
                 self.move_bucket(e, dt)
             e = nxt
         self.cursor[t] = e

@@ -39,7 +39,8 @@ class EngineCore:
     the scan finds none; after a copy is removed, ``_delete_chain`` flips
     toward the in-neighbor with the largest recorded degree while the guard
     holds.  Flips go through ``_flip_copy``, the final ±1 through
-    ``_commit`` and the ring update through ``_refresh``.  Subclasses
+    ``_commit`` and the ring update through ``_refresh``, which an insert
+    defers to its end while every ring fits in the window.  Subclasses
     provide only ``_scan`` and, for audit builds, the ``_audit_post_*``
     hooks run after each commit.  The core also owns the pair registry,
     the ring/bucket mechanics and the bucket key (exact degree, or its
@@ -68,6 +69,13 @@ class EngineCore:
         # Round-robin width of a committed degree change; no ring outgrows
         # n, so in exact mode every out-neighbor hears of it.
         self.window = cfg.rr_width if self.fast_mode else n
+        # Rings longer than the window; always 0 in exact mode.
+        self.long_rings = 0
+        # Inside an insert that defers its refreshes: vertex -> out-degree
+        # to announce, in last-commit order.  None otherwise.
+        self.pending = None
+        # Audit builds: vertices of deferred commits, audited at the flush.
+        self._audits_due: list[int] = []
 
         self.out_deg = [0] * n
         self.out_sz = [0] * n          # ring length = distinct out-neighbors
@@ -126,9 +134,12 @@ class EngineCore:
     def insert(self, u: int, v: int) -> None:
         """Insert simple edge {u, v}: b copies, each routed to the endpoint
         with the smaller current out-degree (ties toward u), with the
-        invariant restored by the engine's flip chain after each copy.  In
-        exact mode the ring of each vertex that committed is refreshed once,
-        after the last copy."""
+        invariant restored by the engine's flip chain after each copy.
+
+        While no ring is longer than the window (always, in exact mode) the
+        ring of each vertex that committed is refreshed once, after the last
+        copy; see ``_insert_chain`` and ``_flush``.  Otherwise every commit
+        refreshes at once."""
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
         key = a * self.n + c
@@ -138,18 +149,21 @@ class EngineCore:
         self._reset_op_counters()
         out_deg = self.out_deg
         rec = self.recorder
-        # Exact mode: vertex -> final degree, in last-commit order; see
-        # _insert_chain.
-        pending = None if self.fast_mode else {}
-        for _ in range(self.b):
-            t, h = (u, v) if out_deg[u] <= out_deg[v] else (v, u)
-            self._add_copy(t, h, pid)
-            if rec is not None:
-                rec.emit(ev.COPY_ADDED, t, h)
-            self._insert_chain(t, pending)
-        if pending:
-            for w, d in pending.items():
-                self._refresh(w, d)
+        self.pending = None if self.long_rings else {}
+        try:
+            for _ in range(self.b):
+                t, h = (u, v) if out_deg[u] <= out_deg[v] else (v, u)
+                self._add_copy(t, h, pid)
+                if rec is not None:
+                    rec.emit(ev.COPY_ADDED, t, h)
+                self._insert_chain(t)
+            if self.pending is not None:
+                self._flush()
+        finally:
+            # A delete must never see a deferral an insert left behind.
+            self.pending = None
+            if self.audit_hooks:
+                self._audits_due.clear()
         self.m_simple += 1
         self.updates += 1
         if rec is not None:
@@ -225,6 +239,15 @@ class EngineCore:
     # ------------------------------------------------------------------
 
     def _ring_insert(self, eid: int, u: int) -> None:
+        sz = self.out_sz[u]
+        if sz == self.window:
+            # u's ring outgrows the window.  From here on a refresh walks
+            # part of it and moves the cursor, so refreshes cannot wait: the
+            # pending ones run now, before the ring changes, and the rest of
+            # the insert refreshes after every commit.
+            self.long_rings += 1
+            if self.pending is not None:
+                self._flush()
         cur = self.cursor[u]
         if cur < 0:
             self.rn_next[eid] = eid
@@ -236,11 +259,11 @@ class EngineCore:
             self.rn_prev[eid] = prev
             self.rn_next[eid] = cur
             self.rn_prev[cur] = eid
-        self.out_sz[u] += 1
+        self.out_sz[u] = sz + 1
 
     def _ring_remove(self, eid: int, u: int) -> None:
-        sz = self.out_sz[u]
-        if sz == 1:
+        sz = self.out_sz[u] - 1
+        if sz == 0:
             self.cursor[u] = -1
         else:
             nxt = self.rn_next[eid]
@@ -249,7 +272,9 @@ class EngineCore:
             self.rn_prev[nxt] = prv
             if self.cursor[u] == eid:
                 self.cursor[u] = nxt
-        self.out_sz[u] = sz - 1
+        self.out_sz[u] = sz
+        if sz == self.window:
+            self.long_rings -= 1
 
     # ------------------------------------------------------------------
     # In-bucket mechanics.
@@ -506,9 +531,12 @@ class EngineCore:
             self._bucket_attach(h, eid, dt)
         else:
             self.e_cnt[eid] += 1
-            # A copy joining an existing group refreshes its recorded degree.
+            # A copy joining an existing group refreshes its recorded degree,
+            # unless t waits for the flush, which re-keys the entry again.
             if self.e_perc[eid] != dt:
-                self.move_bucket(eid, dt)
+                pending = self.pending
+                if pending is None or t not in pending:
+                    self.move_bucket(eid, dt)
 
     def _remove_copy(self, eid: int, pid: int) -> None:
         """Remove one copy held by entry eid of pair pid."""
@@ -554,7 +582,7 @@ class EngineCore:
         """Set u's out-degree to d and announce it to the degree listener
         and the recorder.  The out-neighbors hear of it through
         ``_refresh``, which the chains call after the commit or, for an
-        exact-mode insert, once per vertex at the end of the insert."""
+        insert that defers, ``_flush`` calls once per vertex."""
         self.out_deg[u] = d
         dl = self.degree_listener
         if dl is not None:
@@ -585,24 +613,46 @@ class EngineCore:
             e = rn_next[e]
         self.cursor[u] = e
 
+    def _flush(self) -> None:
+        """Run the refreshes an insert deferred, each pending ring once with
+        its vertex's latest degree, in last-commit order; then the audits
+        of the deferred commits, and stop deferring."""
+        pending = self.pending
+        self.pending = None
+        for w, d in pending.items():
+            self._refresh(w, d)
+        if self.audit_hooks:
+            for w in self._audits_due:
+                self._audit_post_increment(w)
+            self._audits_due.clear()
+
     # ------------------------------------------------------------------
     # Flip chains.
     # ------------------------------------------------------------------
 
-    def _insert_chain(self, t: int, pending: dict | None) -> None:
+    def _insert_chain(self, t: int) -> None:
         """Restore the invariant after a copy was added out of t: flip
         toward the out-neighbor the scan picks until it picks none, then
         commit the +1 where the chain stopped.
 
-        In fast mode (``pending`` None) the commit refreshes the ring at
-        once.  In exact mode nothing inside an insert reads a recorded
-        degree (the scan compares exact degrees), so the refresh waits:
-        the vertex is moved to the end of ``pending`` with its new degree,
-        and ``insert`` refreshes each ring once after the last copy, in
-        last-commit order.  That is the order of each entry's last bucket
-        move had every commit refreshed at once, so the bucket sibling
-        order, which picks a later deletion's flip candidate among equal
-        keys, stays the same; first-commit order would change it.
+        Without ``pending`` the commit refreshes the ring at once.  With
+        it, the vertex moves to the end of ``pending`` with its new degree
+        and ``_flush`` refreshes each ring once, in last-commit order.
+        Nothing inside an insert reads a recorded degree (scans compare
+        exact degrees), and while every ring fits in the window a refresh
+        walks the whole ring and leaves the cursor where it was, so waiting
+        changes no recorded degree and no cursor.  The scan's and the
+        join's re-keys of a pending vertex's entries are skipped: the flush
+        redoes them, and at once they would find nothing stale.
+
+        Last-commit order is the order of each entry's last bucket move had
+        every commit refreshed at once, so the bucket sibling order, which
+        picks a later deletion's flip candidate among equal keys, stays the
+        same; first-commit order would change it.  One case differs: an
+        entry created during the insert is attached at once, below the
+        entries the flush then moves into its bucket, where refreshing at
+        once would have put it above those whose last move came first.
+        Either order is a valid tie-break.
         """
         out_deg = self.out_deg
         e_head = self.e_head
@@ -618,13 +668,16 @@ class EngineCore:
             self.last_chain = chain
         d = out_deg[t] + 1
         self._commit(t, d)
+        pending = self.pending
         if pending is None:
             self._refresh(t, d)
+            if self.audit_hooks:
+                self._audit_post_increment(t)
         else:
             pending.pop(t, None)
             pending[t] = d
-        if self.audit_hooks:
-            self._audit_post_increment(t)
+            if self.audit_hooks:
+                self._audits_due.append(t)
 
     def _delete_chain(self, u: int) -> None:
         """Restore the invariant after a copy out of u was removed: while
@@ -789,6 +842,8 @@ class EngineCore:
                 bad.append(f"vertex {u}: ring does not close after {sz} steps")
         if len(ring_seen) != len(seen_entries):
             bad.append("some live entries are missing from rings")
+        if self.long_rings != sum(sz > self.window for sz in self.out_sz):
+            bad.append(f"long-ring count {self.long_rings} is stale")
         # Bucket integrity.
         bucket_seen = set()
         for v in range(n):
@@ -833,8 +888,8 @@ class EngineCore:
             bad.append("some live entries are missing from buckets")
         # At update boundaries recorded degrees are exact whenever the ring
         # fits in the refresh window: always in exact mode (window n), up to
-        # rr_width in fast.  Inside an exact-mode insert they lag until the
-        # end-of-insert refresh; see _insert_chain.
+        # rr_width in fast.  Inside an insert that defers its refreshes they
+        # lag until the flush; see _insert_chain.
         for eid in seen_entries:
             t = self.e_tail[eid]
             if self.out_sz[t] <= self.window:

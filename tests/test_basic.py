@@ -140,11 +140,15 @@ def test_density_stays_honest_on_small_random_graph():
 
 
 @pytest.mark.parametrize("builder", [OrientationConfig.simple_additive,
-                                     OrientationConfig.simple_multiplicative],
-                         ids=["simple-additive", "simple-multiplicative"])
+                                     OrientationConfig.simple_multiplicative,
+                                     OrientationConfig.fast_additive,
+                                     OrientationConfig.fast_multiplicative],
+                         ids=["simple-additive", "simple-multiplicative",
+                              "fast-additive", "fast-multiplicative"])
 def test_recorded_degrees_exact_after_every_update(builder):
     # Recorded degrees may lag inside an insert, never at an update
-    # boundary: structural_violations checks each against the exact degree.
+    # boundary: structural_violations checks each against the exact degree
+    # (in fast mode, of every ring that fits in the window; all do here).
     n = 24
     stack = OrientationStack(builder(n))
     fz = Fuzzer(stack, seed=31, delete_bias=0.3, max_edges=6 * n)

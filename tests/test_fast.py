@@ -1,5 +1,7 @@
 """Perceived-degree engine: staleness lemma hooks, floors, terminal audits."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from dynorient import (
@@ -111,6 +113,30 @@ def test_deletion_candidate_sits_in_the_maximal_bucket():
             top_key = key(engine.e_perc[top])
             for e in engine.in_entries(v):
                 assert key(engine.e_perc[e]) <= top_key
+
+
+def test_insert_that_raises_leaves_no_deferral_behind():
+    # A later delete must re-key and refresh as usual, whatever the insert
+    # before it did.
+    stack = OrientationStack(OrientationConfig.fast_multiplicative(16),
+                             audit_hooks=True)
+    Fuzzer(stack, seed=5).run(40)
+    engine = stack.engine
+    calls = 0
+
+    def failing(u, d):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise RuntimeError("listener failed")
+
+    engine.degree_listener = SimpleNamespace(degree_changed=failing)
+    u, v = next((u, v) for u in range(16) for v in range(u + 1, 16)
+                if not stack.has_edge(u, v))
+    with pytest.raises(RuntimeError):
+        stack.insert(u, v)
+    assert engine.pending is None
+    assert engine._audits_due == []
 
 
 @pytest.mark.parametrize("preset", ["fast-additive", "fast-multiplicative"])
