@@ -155,3 +155,29 @@ def test_recorded_degrees_exact_after_every_update(builder):
     for _ in range(600):
         fz.step()
         assert stack.engine.structural_violations() == []
+
+
+@pytest.mark.parametrize("preset", ["simple-additive", "simple-multiplicative"])
+def test_delete_chain_reads_exact_in_buckets(preset):
+    # Whenever a deletion chain reads a head's in-buckets, every in-entry
+    # there records its tail's exact out-degree, and the keys descend along
+    # the bucket chain, however the engine schedules its ring refreshes.
+    n = 40
+    stack = OrientationStack(OrientationConfig.from_preset(preset, n))
+    engine = stack.engine
+    first_in_entry = engine.first_in_entry
+    reads = 0
+
+    def checked(v):
+        nonlocal reads
+        reads += 1
+        keys = []
+        for e in engine.in_entries(v):
+            assert engine.e_perc[e] == engine.out_deg[engine.e_tail[e]]
+            keys.append(engine.e_perc[e])
+        assert keys == sorted(keys, reverse=True)
+        return first_in_entry(v)
+
+    engine.first_in_entry = checked
+    Fuzzer(stack, seed=47, max_edges=6 * n).run(800)
+    assert reads > stack.cfg.b * 100

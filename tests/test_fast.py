@@ -1,4 +1,8 @@
-"""Perceived-degree engine: staleness lemma hooks, floors, terminal audits."""
+"""Perceived-degree engine: staleness lemma hooks, floors, terminal audits.
+
+The deferral and audit-contract tests also run the exact presets, which share
+the engine core's update drivers.
+"""
 
 from types import SimpleNamespace
 
@@ -139,10 +143,36 @@ def test_insert_that_raises_leaves_no_deferral_behind():
     assert engine._audits_due == []
 
 
-@pytest.mark.parametrize("preset", ["fast-additive", "fast-multiplicative"])
+def test_delete_that_raises_leaves_no_deferral_behind():
+    # The exact engine defers a delete's refreshes as it does an insert's;
+    # a delete that fails partway must not leave that deferral behind.
+    stack = OrientationStack(OrientationConfig.simple_multiplicative(16),
+                             audit_hooks=True)
+    fz = Fuzzer(stack, seed=5)
+    fz.run(40)
+    engine = stack.engine
+    calls = 0
+
+    def failing(u, d):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise RuntimeError("listener failed")
+
+    engine.degree_listener = SimpleNamespace(degree_changed=failing)
+    with pytest.raises(RuntimeError):
+        stack.delete(*sorted(fz.live_set)[0])
+    assert engine.pending is None
+    assert engine._audits_due == []
+
+
+@pytest.mark.parametrize("preset", ["simple-additive", "simple-multiplicative",
+                                    "fast-additive", "fast-multiplicative"])
 def test_every_committed_step_is_audited(preset):
     # Each simple insert or delete commits b unit degree changes; in an
-    # audit build every one of them runs its staleness-lemma hook.
+    # audit build every one of them runs its post-commit hook (the fast
+    # engine's staleness lemmas; a no-op in the exact engine), deferred or
+    # not.
     stack = OrientationStack(OrientationConfig.from_preset(preset, 32),
                              audit_hooks=True)
     engine = stack.engine
