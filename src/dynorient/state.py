@@ -39,11 +39,14 @@ class EngineCore:
     the scan finds none; after a copy is removed, ``_delete_chain`` flips
     toward the in-neighbor with the largest recorded degree while the guard
     holds.  Flips go through ``_flip_copy``, the final ±1 through
-    ``_commit`` and the ring update through ``_refresh``, which an insert
-    defers to its end while every ring fits in the window.  Subclasses
-    provide only ``_scan`` and, for audit builds, the ``_audit_post_*``
-    hooks run after each commit.  The core also owns the pair registry,
-    the ring/bucket mechanics and the bucket key (exact degree, or its
+    ``_commit`` and the ring update through ``_refresh``.  An update may
+    defer the refreshes to its end (``pending``, flushed by ``_flush``): an
+    insert while every ring fits in the window, a delete while buckets are
+    keyed by the exact degree, settling before each in-bucket read only the
+    entries aimed at the head it reads (``_settle``).  Subclasses provide
+    only ``_scan`` and, for audit builds, the ``_audit_post_*`` hooks run
+    after each commit.  The core also owns the pair registry, the
+    ring/bucket mechanics and the bucket key (exact degree, or its
     geometric index in fast mode), event emission, and the per-update
     counters.
     """
@@ -71,8 +74,9 @@ class EngineCore:
         self.window = cfg.rr_width if self.fast_mode else n
         # Rings longer than the window; always 0 in exact mode.
         self.long_rings = 0
-        # Inside an insert that defers its refreshes: vertex -> out-degree
-        # to announce, in last-commit order.  None otherwise.
+        # Inside an update that defers its refreshes (see insert and
+        # delete): vertex -> out-degree to announce, in last-commit order.
+        # None otherwise.
         self.pending = None
         # Audit builds: vertices of deferred commits, audited at the flush.
         self._audits_due: list[int] = []
@@ -158,9 +162,9 @@ class EngineCore:
                     rec.emit(ev.COPY_ADDED, t, h)
                 self._insert_chain(t)
             if self.pending is not None:
-                self._flush()
+                self._flush(self._audit_post_increment)
         finally:
-            # A delete must never see a deferral an insert left behind.
+            # The next update must never see a deferral this one left behind.
             self.pending = None
             if self.audit_hooks:
                 self._audits_due.clear()
@@ -181,6 +185,11 @@ class EngineCore:
         Each removed copy is taken out of the endpoint with the larger
         current out-degree (ties toward u), falling back to the opposite
         direction when that side has no copies left.
+
+        With in-buckets keyed by the exact degree, the ring of each vertex
+        that committed is refreshed once, after the last copy, and each
+        chain first settles the in-entries it reads; see ``_delete_chain``.
+        In fast mode every commit refreshes at once.
         """
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
@@ -196,18 +205,26 @@ class EngineCore:
             self.rounding.simple_deleted(a, c)
         out_deg = self.out_deg
         e_cnt = self.e_cnt
-        for _ in range(self.b):
-            t, h = (u, v) if out_deg[u] >= out_deg[v] else (v, u)
-            ent = self._dir_entry(pid, t)
-            if ent < 0 or e_cnt[ent] == 0:
-                t, h = h, t
+        self.pending = {} if self.thresholds is None else None
+        try:
+            for _ in range(self.b):
+                t, h = (u, v) if out_deg[u] >= out_deg[v] else (v, u)
                 ent = self._dir_entry(pid, t)
-            if ent < 0:
-                raise CorruptionError("pair drained early")
-            self._remove_copy(ent, pid)
-            if rec is not None:
-                rec.emit(ev.COPY_REMOVED, t, h)
-            self._delete_chain(t)
+                if ent < 0 or e_cnt[ent] == 0:
+                    t, h = h, t
+                    ent = self._dir_entry(pid, t)
+                if ent < 0:
+                    raise CorruptionError("pair drained early")
+                self._remove_copy(ent, pid)
+                if rec is not None:
+                    rec.emit(ev.COPY_REMOVED, t, h)
+                self._delete_chain(t)
+            if self.pending is not None:
+                self._flush(self._audit_post_decrement)
+        finally:
+            self.pending = None
+            if self.audit_hooks:
+                self._audits_due.clear()
         if self.p_eab[pid] >= 0 or self.p_eba[pid] >= 0:
             raise CorruptionError("copies survived a simple-edge drain")
         self._pair_free(pid, key)
@@ -244,10 +261,12 @@ class EngineCore:
             # u's ring outgrows the window.  From here on a refresh walks
             # part of it and moves the cursor, so refreshes cannot wait: the
             # pending ones run now, before the ring changes, and the rest of
-            # the insert refreshes after every commit.
+            # the insert refreshes after every commit.  Only an insert gets
+            # here while deferring: a delete defers only in exact mode, where
+            # no ring reaches the window n.
             self.long_rings += 1
             if self.pending is not None:
-                self._flush()
+                self._flush(self._audit_post_increment)
         cur = self.cursor[u]
         if cur < 0:
             self.rn_next[eid] = eid
@@ -581,8 +600,9 @@ class EngineCore:
     def _commit(self, u: int, d: int) -> None:
         """Set u's out-degree to d and announce it to the degree listener
         and the recorder.  The out-neighbors hear of it through
-        ``_refresh``, which the chains call after the commit or, for an
-        insert that defers, ``_flush`` calls once per vertex."""
+        ``_refresh``: at once, or, while the update defers, at ``_flush``,
+        where u's ring is refreshed once with its latest degree; u then
+        moves to the end of ``pending``."""
         self.out_deg[u] = d
         dl = self.degree_listener
         if dl is not None:
@@ -590,6 +610,12 @@ class EngineCore:
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
+        pending = self.pending
+        if pending is None:
+            self._refresh(u, d)
+        else:
+            pending.pop(u, None)
+            pending[u] = d
 
     def _refresh(self, u: int, d: int) -> None:
         """Tell the next ``window`` out-neighbors of u, from its cursor,
@@ -613,18 +639,39 @@ class EngineCore:
             e = rn_next[e]
         self.cursor[u] = e
 
-    def _flush(self) -> None:
-        """Run the refreshes an insert deferred, each pending ring once with
-        its vertex's latest degree, in last-commit order; then the audits
-        of the deferred commits, and stop deferring."""
+    def _flush(self, audit) -> None:
+        """Run the refreshes an insert or a delete deferred, each pending
+        ring once with its vertex's latest degree, in last-commit order;
+        then, in audit builds, ``audit`` (the update's post-commit hook)
+        once per deferred commit, and stop deferring.  Entries a delete
+        chain already settled record that degree and are not moved again.
+        """
         pending = self.pending
         self.pending = None
         for w, d in pending.items():
             self._refresh(w, d)
         if self.audit_hooks:
             for w in self._audits_due:
-                self._audit_post_increment(w)
+                audit(w)
             self._audits_due.clear()
+
+    def _settle(self, h: int) -> None:
+        """Re-key the in-entries of h whose tails wait in ``pending``: for
+        each pending w, in last-commit order, the entry w->h, if it exists
+        and still records an older degree.  Exact mode only: the degree is
+        its own bucket key."""
+        n = self.n
+        pairs = self.pairs
+        p_eab = self.p_eab
+        p_eba = self.p_eba
+        e_perc = self.e_perc
+        move = self.move_bucket
+        for w, d in self.pending.items():
+            pid = pairs.get(w * n + h if w < h else h * n + w, -1)
+            if pid >= 0:
+                e = p_eab[pid] if w < h else p_eba[pid]
+                if e >= 0 and e_perc[e] != d:
+                    move(e, d, d)
 
     # ------------------------------------------------------------------
     # Flip chains.
@@ -666,28 +713,38 @@ class EngineCore:
             e = scan(t, out_deg[t])
         if chain > self.last_chain:
             self.last_chain = chain
-        d = out_deg[t] + 1
-        self._commit(t, d)
-        pending = self.pending
-        if pending is None:
-            self._refresh(t, d)
-            if self.audit_hooks:
+        self._commit(t, out_deg[t] + 1)
+        if self.audit_hooks:
+            if self.pending is None:
                 self._audit_post_increment(t)
-        else:
-            pending.pop(t, None)
-            pending[t] = d
-            if self.audit_hooks:
+            else:
                 self._audits_due.append(t)
 
     def _delete_chain(self, u: int) -> None:
         """Restore the invariant after a copy out of u was removed: while
         the in-neighbor with the largest recorded degree violates the guard
         against u, flip its copy, then commit the -1 where the chain
-        stopped.  Recorded degrees are exact in the exact engine."""
+        stopped.
+
+        With ``pending`` (exact mode) the commit's refresh waits for the
+        flush, and the chain reads exact recorded degrees anyway: it reads
+        only the in-buckets of the heads it visits, so it settles u before
+        its first read and each flip's tail x before the flip, which
+        attaches or joins an entry at x and hands the chain on to x.  With
+        exact keys every change of a recorded degree moves the entry to
+        another bucket, so settling and flushing in last-commit order move
+        each entry last in the order an eager refresh would have: bucket
+        sibling order, and with it every later tie-break, is unchanged.
+        Geometric keys lose this, as a re-key inside one bucket does not
+        reorder the entry, so fast mode refreshes after every commit.
+        """
         lhs, rhs, add = self.guard
         out_deg = self.out_deg
         e_perc = self.e_perc
+        pending = self.pending
         chain = 0
+        if pending:
+            self._settle(u)
         while True:
             x_ent = self.first_in_entry(u)
             if x_ent < 0:
@@ -700,16 +757,19 @@ class EngineCore:
                 self.last_suppressed += 1
                 self.total_suppressed += 1
                 break
+            if pending:
+                self._settle(x)
             self._flip_copy(x_ent)
             chain += 1
             u = x
         if chain > self.last_chain:
             self.last_chain = chain
-        d = out_deg[u] - 1
-        self._commit(u, d)
-        self._refresh(u, d)
+        self._commit(u, out_deg[u] - 1)
         if self.audit_hooks:
-            self._audit_post_decrement(u)
+            if pending is None:
+                self._audit_post_decrement(u)
+            else:
+                self._audits_due.append(u)
 
     def _scan(self, t: int, dt: int) -> int:
         """Entry of the out-neighbor the chain at t (out-degree dt, before
@@ -888,8 +948,9 @@ class EngineCore:
             bad.append("some live entries are missing from buckets")
         # At update boundaries recorded degrees are exact whenever the ring
         # fits in the refresh window: always in exact mode (window n), up to
-        # rr_width in fast.  Inside an insert that defers its refreshes they
-        # lag until the flush; see _insert_chain.
+        # rr_width in fast.  Inside an update that defers its refreshes they
+        # lag until the flush, or in a delete until a chain settles their
+        # head; see _insert_chain and _delete_chain.
         for eid in seen_entries:
             t = self.e_tail[eid]
             if self.out_sz[t] <= self.window:
