@@ -78,8 +78,9 @@ class EngineCore:
         # delete): vertex -> out-degree to announce, in last-commit order.
         # None otherwise.
         self.pending = None
-        # Audit builds: vertices of deferred commits, audited at the flush.
-        self._audits_due: list[int] = []
+        # Audit builds: (post-commit hook, vertex) of each deferred commit,
+        # run at the flush.
+        self._audits_due: list = []
 
         self.out_deg = [0] * n
         self.out_sz = [0] * n          # ring length = distinct out-neighbors
@@ -162,7 +163,7 @@ class EngineCore:
                     rec.emit(ev.COPY_ADDED, t, h)
                 self._insert_chain(t)
             if self.pending is not None:
-                self._flush(self._audit_post_increment)
+                self._flush()
         finally:
             # The next update must never see a deferral this one left behind.
             self.pending = None
@@ -205,7 +206,7 @@ class EngineCore:
             self.rounding.simple_deleted(a, c)
         out_deg = self.out_deg
         e_cnt = self.e_cnt
-        self.pending = {} if self.thresholds is None else None
+        pending = self.pending = {} if self.thresholds is None else None
         try:
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] >= out_deg[v] else (v, u)
@@ -218,9 +219,9 @@ class EngineCore:
                 self._remove_copy(ent, pid)
                 if rec is not None:
                     rec.emit(ev.COPY_REMOVED, t, h)
-                self._delete_chain(t)
-            if self.pending is not None:
-                self._flush(self._audit_post_decrement)
+                self._delete_chain(t, pending)
+            if pending is not None:
+                self._flush()
         finally:
             self.pending = None
             if self.audit_hooks:
@@ -266,7 +267,7 @@ class EngineCore:
             # no ring reaches the window n.
             self.long_rings += 1
             if self.pending is not None:
-                self._flush(self._audit_post_increment)
+                self._flush()
         cur = self.cursor[u]
         if cur < 0:
             self.rn_next[eid] = eid
@@ -600,9 +601,8 @@ class EngineCore:
     def _commit(self, u: int, d: int) -> None:
         """Set u's out-degree to d and announce it to the degree listener
         and the recorder.  The out-neighbors hear of it through
-        ``_refresh``: at once, or, while the update defers, at ``_flush``,
-        where u's ring is refreshed once with its latest degree; u then
-        moves to the end of ``pending``."""
+        ``_refresh``, which the chains call after the commit or, while the
+        update defers, ``_flush`` calls once per vertex."""
         self.out_deg[u] = d
         dl = self.degree_listener
         if dl is not None:
@@ -610,12 +610,6 @@ class EngineCore:
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
-        pending = self.pending
-        if pending is None:
-            self._refresh(u, d)
-        else:
-            pending.pop(u, None)
-            pending[u] = d
 
     def _refresh(self, u: int, d: int) -> None:
         """Tell the next ``window`` out-neighbors of u, from its cursor,
@@ -639,19 +633,18 @@ class EngineCore:
             e = rn_next[e]
         self.cursor[u] = e
 
-    def _flush(self, audit) -> None:
+    def _flush(self) -> None:
         """Run the refreshes an insert or a delete deferred, each pending
         ring once with its vertex's latest degree, in last-commit order;
-        then, in audit builds, ``audit`` (the update's post-commit hook)
-        once per deferred commit, and stop deferring.  Entries a delete
-        chain already settled record that degree and are not moved again.
-        """
+        then the audits of the deferred commits, and stop deferring.
+        Entries a delete chain already settled record that degree and are
+        not moved again."""
         pending = self.pending
         self.pending = None
         for w, d in pending.items():
             self._refresh(w, d)
         if self.audit_hooks:
-            for w in self._audits_due:
+            for audit, w in self._audits_due:
                 audit(w)
             self._audits_due.clear()
 
@@ -713,35 +706,42 @@ class EngineCore:
             e = scan(t, out_deg[t])
         if chain > self.last_chain:
             self.last_chain = chain
-        self._commit(t, out_deg[t] + 1)
-        if self.audit_hooks:
-            if self.pending is None:
+        d = out_deg[t] + 1
+        self._commit(t, d)
+        pending = self.pending
+        if pending is None:
+            self._refresh(t, d)
+            if self.audit_hooks:
                 self._audit_post_increment(t)
-            else:
-                self._audits_due.append(t)
+        else:
+            pending.pop(t, None)
+            pending[t] = d
+            if self.audit_hooks:
+                self._audits_due.append((self._audit_post_increment, t))
 
-    def _delete_chain(self, u: int) -> None:
+    def _delete_chain(self, u: int, pending) -> None:
         """Restore the invariant after a copy out of u was removed: while
         the in-neighbor with the largest recorded degree violates the guard
         against u, flip its copy, then commit the -1 where the chain
         stopped.
 
-        With ``pending`` (exact mode) the commit's refresh waits for the
-        flush, and the chain reads exact recorded degrees anyway: it reads
-        only the in-buckets of the heads it visits, so it settles u before
-        its first read and each flip's tail x before the flip, which
-        attaches or joins an entry at x and hands the chain on to x.  With
-        exact keys every change of a recorded degree moves the entry to
-        another bucket, so settling and flushing in last-commit order move
-        each entry last in the order an eager refresh would have: bucket
-        sibling order, and with it every later tie-break, is unchanged.
-        Geometric keys lose this, as a re-key inside one bucket does not
-        reorder the entry, so fast mode refreshes after every commit.
+        ``pending`` is the delete's deferral (``self.pending``), passed in
+        so that the fast path pays no lookup for it.  With it (exact mode)
+        the commit's refresh waits for the flush, and the chain reads exact
+        recorded degrees anyway: it reads only the in-buckets of the heads
+        it visits, so it settles u before its first read and each flip's
+        tail x before the flip, which attaches or joins an entry at x and
+        hands the chain on to x.  With exact keys every change of a
+        recorded degree moves the entry to another bucket, so settling and
+        flushing in last-commit order move each entry last in the order an
+        eager refresh would have: bucket sibling order, and with it every
+        later tie-break, is unchanged.  Geometric keys lose this, as a
+        re-key inside one bucket does not reorder the entry, so fast mode
+        refreshes after every commit.
         """
         lhs, rhs, add = self.guard
         out_deg = self.out_deg
         e_perc = self.e_perc
-        pending = self.pending
         chain = 0
         if pending:
             self._settle(u)
@@ -764,12 +764,17 @@ class EngineCore:
             u = x
         if chain > self.last_chain:
             self.last_chain = chain
-        self._commit(u, out_deg[u] - 1)
-        if self.audit_hooks:
-            if pending is None:
+        d = out_deg[u] - 1
+        self._commit(u, d)
+        if pending is None:
+            self._refresh(u, d)
+            if self.audit_hooks:
                 self._audit_post_decrement(u)
-            else:
-                self._audits_due.append(u)
+        else:
+            pending.pop(u, None)
+            pending[u] = d
+            if self.audit_hooks:
+                self._audits_due.append((self._audit_post_decrement, u))
 
     def _scan(self, t: int, dt: int) -> int:
         """Entry of the out-neighbor the chain at t (out-degree dt, before
