@@ -1,7 +1,7 @@
 """Perceived-degree engine: staleness lemma hooks, floors, terminal audits.
 
 The deferral and audit-contract tests also run the exact presets, which share
-the engine core's update drivers.
+the engine core's update path.
 """
 
 from types import SimpleNamespace
