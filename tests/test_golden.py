@@ -1,10 +1,10 @@
-"""Golden digests: one pinned random workload per preset, full stack.
+"""Golden digests: two pinned workloads per preset, full stack.
 
 Each run attaches all four applications and an EventHasher and replays a
-seeded ``random`` workload.  The pinned values are the event digest and
-count, the engine's flip and suppression totals, the rounding's simple-flip
-total, SHA-256 digests of the final engine, rounding and application
-state, and the number of bucket re-keys.  A refactor or optimisation of the
+seeded ``random`` or ``drifting-density`` workload.  The pinned values are
+the event digest and count, the engine's flip and suppression totals, the
+rounding's simple-flip total, SHA-256 digests of the final engine, rounding
+and application state, and the number of bucket re-keys.  A refactor or optimisation of the
 update path must leave every digest unchanged; an optimisation that saves
 re-keys, or a deliberate behaviour change, re-pins what it moves and says
 why.
@@ -66,14 +66,16 @@ def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def snapshot(preset: str, audit_hooks: bool = False, steps: int = STEPS,
-             max_edges: int = 2 * N) -> tuple:
-    """Replay a seeded ``random`` workload under ``preset`` (the pinned one
-    by default); return the digests, the number of ``counts_changed``
+def snapshot(preset: str, audit_hooks: bool = False, lines=None) -> tuple:
+    """Replay workload ``lines`` under ``preset`` (by default the pinned
+    ``random`` one); return the digests, the number of ``counts_changed``
     notifications rounding received and the number of ``move_bucket``
     calls the engine made."""
+    if lines is None:
+        lines = generate("random", N, STEPS, seed=SEED, max_edges=2 * N)
+    n, ops = parse_workload(lines)
     hasher = EventHasher()
-    stack = OrientationStack(BUILDERS[preset](N), recorder=hasher,
+    stack = OrientationStack(BUILDERS[preset](n), recorder=hasher,
                              audit_hooks=audit_hooks)
     notified = 0
     moves = 0
@@ -96,8 +98,6 @@ def snapshot(preset: str, audit_hooks: bool = False, steps: int = STEPS,
     coloring = stack.attach_coloring()
     forests = stack.attach_forests()
     matvec = stack.attach_matvec()
-    _, ops = parse_workload(generate("random", N, steps, seed=SEED,
-                                     max_edges=max_edges))
     for op in ops:
         if op.kind == "+":
             stack.insert(op.u, op.v)
@@ -141,10 +141,46 @@ DENSE_GOLDEN = ("321305b053ec08e7", 66105, 3105, 327, 416,
 
 
 def test_golden_digest_dense_churn():
-    digests, notified, _ = snapshot("simple-multiplicative", steps=3000,
-                                    max_edges=6 * N)
+    digests, notified, _ = snapshot(
+        "simple-multiplicative",
+        lines=generate("random", N, 2 * STEPS, seed=SEED, max_edges=6 * N))
     assert digests == DENSE_GOLDEN
     assert notified == digests[2]
+
+
+# Drifting density: sparse churn on n=48 while a 16-clique grows and then
+# dissolves (1,168 ops).  The clique's vertices hold the longest in-bucket
+# chains of any pinned workload, so bucket moves cross and join buckets far
+# more often than under sparse churn.  Same fields as GOLDEN and MOVES.
+DRIFT_N = 48
+DRIFT_GOLDEN = {
+    "simple-additive": ("c01d28154b5c63c2", 3593, 89, 0, 89,
+                        "674b849f65e9b00b", "cc45073c17cf6504"),
+    "simple-multiplicative": ("28557d21f5b8a2cc", 26771, 2243, 24, 275,
+                              "3021da6753fd6a07", "2e4696ec2ff8f8cb"),
+    "fast-additive": ("aec729fb0221efff", 17778, 2594, 0, 487,
+                      "2f6c88e92e9a5a0a", "5f158412410173b9"),
+    "fast-multiplicative": ("d4c2813612f0e7f5", 34720, 5520, 48, 543,
+                            "438152d959b3e128", "5038f8c6a54568c3"),
+    "eps-density": ("cfbe595a3d64ae94", 271149, 83101, 320, 1129,
+                    "428aa17fdc325b5c", "845146b56115c40e"),
+}
+DRIFT_MOVES = {
+    "simple-additive": 2686,
+    "simple-multiplicative": 18510,
+    "fast-additive": 22412,
+    "fast-multiplicative": 42125,
+    "eps-density": 222358,
+}
+
+
+@pytest.mark.parametrize("preset", sorted(BUILDERS))
+def test_golden_digest_drifting_density(preset):
+    lines = generate("drifting-density", DRIFT_N, 4000, seed=SEED, clique=16)
+    digests, notified, moves = snapshot(preset, lines=lines)
+    assert digests == DRIFT_GOLDEN[preset]
+    assert notified == digests[2]
+    assert moves == DRIFT_MOVES[preset]
 
 
 # Stale-degree regime: with b=1 and eta=99/100 the round-robin window is

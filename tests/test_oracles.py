@@ -152,6 +152,25 @@ def test_audit_flags_injected_corruption():
     assert audit_state(stack)
     engine.e_perc[eid] -= 1
     assert audit_state(stack) == []
+    # a rounded edge reversed against its copies' majority
+    out = stack.rounding.out
+    tail = next(u for u in range(16) if out[u])
+    head = next(iter(out[tail]))
+    del out[tail][head]
+    out[head][tail] = None
+    assert audit_state(stack)
+    del out[head][tail]
+    out[tail][head] = None
+    assert audit_state(stack) == []
+    # a bucket node given its successor's key: two buckets share a key
+    bn = next(engine.top_bucket[v] for v in range(16)
+              if engine.top_bucket[v] >= 0
+              and engine.bn_next[engine.top_bucket[v]] >= 0)
+    key = engine.bn_key[bn]
+    engine.bn_key[bn] = engine.bn_key[engine.bn_next[bn]]
+    assert audit_state(stack)
+    engine.bn_key[bn] = key
+    assert audit_state(stack) == []
 
 
 def test_audit_after_fuzz_per_preset(any_preset_cfg):
