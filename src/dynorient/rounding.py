@@ -1,15 +1,18 @@
 """Majority rounding of the oriented multigraph into a simple orientation.
 
 Every simple edge points the way the majority of its b copies point, ties
-toward the lexicographically smaller endpoint.  Only copy flips are reported,
-once each with the final counts (one copy changing sides crosses the majority
-at most once); a visible pair whose majority crosses gets reoriented and the
-change is pushed to registered application listeners.  The copies a simple
-insert places and a simple delete drains are not reported: the pair is
-invisible while they are placed (the engine announces it once they settle)
-and from the moment the deletion starts draining them, so applications always
-observe a consistent simple graph.  ``counts_changed`` still ignores an
-invisible pair, because a flip chain may in principle reverse a copy of the
+toward the lexicographically smaller endpoint.  The simple adjacency ``out``
+is the one record of directions: a visible edge {a, b} points a->b exactly
+when ``out[a]`` holds b, and then ``out[b]`` does not hold a.  Only copy
+flips are reported, once each with the final counts (one copy changing sides
+crosses the majority at most once); a visible pair whose majority crosses
+gets reoriented and the change is pushed to registered application
+listeners.  The copies a simple insert places and a simple delete drains are
+not reported: the pair is invisible while they are placed (the engine
+announces it once they settle) and from the moment the deletion starts
+draining them, so applications always observe a consistent simple graph.
+``counts_changed`` still ignores an invisible pair, one neither endpoint's
+``out`` holds, because a flip chain may in principle reverse a copy of the
 pair being placed or drained.
 
 Listener contract (synchronous, dispatch in registration order): on_insert,
@@ -39,11 +42,13 @@ class OrientationListener:
 
 
 class RoundedOrientation:
+    """The simple orientation: ``out[u]`` holds u's simple out-neighbors as
+    dict keys (insertion-ordered, values unused), ``simple_out`` their
+    counts, and a histogram of those counts keeps the maximum."""
 
     def __init__(self, capacity: int):
         n = capacity
         self.n = n
-        self._dir: dict[int, bool] = {}   # key a*n+b (a<b) -> True iff a->b
         self.out: list[dict] = [dict() for _ in range(n)]
         self.simple_out = [0] * n
         self._hist = [n]                  # vertices per simple out-degree
@@ -60,21 +65,20 @@ class RoundedOrientation:
 
     def direction(self, u: int, v: int) -> tuple:
         """(tail, head) for a live edge {u, v}."""
-        a, b = (u, v) if u < v else (v, u)
-        d = self._dir.get(a * self.n + b)
-        if d is None:
-            raise MissingEdgeError(f"edge ({u}, {v}) not present")
-        return (a, b) if d else (b, a)
+        if v in self.out[u]:
+            return u, v
+        if u in self.out[v]:
+            return v, u
+        raise MissingEdgeError(f"edge ({u}, {v}) not present")
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = (u, v) if u < v else (v, u)
-        return (a * self.n + b) in self._dir
+        return v in self.out[u] or u in self.out[v]
 
     def edges(self):
-        n = self.n
-        for key, d in self._dir.items():
-            a, b = divmod(key, n)
-            yield (a, b) if d else (b, a)
+        """Visible edges as (tail, head), grouped by tail."""
+        for tail, heads in enumerate(self.out):
+            for head in heads:
+                yield tail, head
 
     def register(self, listener: OrientationListener) -> None:
         self.listeners.append(listener)
@@ -85,17 +89,14 @@ class RoundedOrientation:
 
     def counts_changed(self, a: int, b: int, cab: int, cba: int) -> None:
         """One copy of pair (a, b) flipped; reorient on a majority crossing."""
-        key = a * self.n + b
-        old = self._dir.get(key)
-        if old is None:
+        tail, head = (a, b) if cab > cba or (cab == cba) else (b, a)
+        out = self.out
+        if head in out[tail]:
+            return  # no crossing
+        if tail not in out[head]:
             return  # pending insert or draining delete
-        new = cab > cba or (cab == cba)
-        if new == old:
-            return
-        self._dir[key] = new
-        tail, head = (a, b) if new else (b, a)
-        del self.out[head][tail]
-        self.out[tail][head] = None
+        del out[head][tail]
+        out[tail][head] = None
         self._deg_down(head)
         self._deg_up(tail)
         self.total_simple_flips += 1
@@ -105,12 +106,9 @@ class RoundedOrientation:
             ls.on_degree(tail, self.simple_out[tail])
 
     def simple_inserted(self, a: int, b: int, cab: int, cba: int) -> None:
-        key = a * self.n + b
-        if key in self._dir:
+        if self.has_edge(a, b):
             raise CorruptionError(f"pair ({a},{b}) announced twice")
-        new = cab > cba or (cab == cba)
-        self._dir[key] = new
-        tail, head = (a, b) if new else (b, a)
+        tail, head = (a, b) if cab > cba or (cab == cba) else (b, a)
         self.out[tail][head] = None
         self._deg_up(tail)
         for ls in self.listeners:
@@ -118,11 +116,12 @@ class RoundedOrientation:
             ls.on_degree(tail, self.simple_out[tail])
 
     def simple_deleted(self, a: int, b: int) -> None:
-        key = a * self.n + b
-        old = self._dir.pop(key, None)
-        if old is None:
+        if b in self.out[a]:
+            tail, head = a, b
+        elif a in self.out[b]:
+            tail, head = b, a
+        else:
             raise CorruptionError(f"pair ({a},{b}) deleted while invisible")
-        tail, head = (a, b) if old else (b, a)
         del self.out[tail][head]
         self._deg_down(tail)
         for ls in self.listeners:
@@ -161,28 +160,25 @@ class RoundedOrientation:
         """Check directions against a majority recount of the engine's copy
         counts, and the degree bookkeeping against the adjacency."""
         bad = []
-        n = self.n
         live = {}
         for pid in engine.pairs.values():
             a, b = engine.p_a[pid], engine.p_b[pid]
             eab, eba = engine.p_eab[pid], engine.p_eba[pid]
             cab = engine.e_cnt[eab] if eab >= 0 else 0
             cba = engine.e_cnt[eba] if eba >= 0 else 0
-            live[a * n + b] = cab > cba or (cab == cba)
-        if set(live) != set(self._dir):
+            live[a, b] = (a, b) if cab > cba or (cab == cba) else (b, a)
+        got = {}
+        for tail, head in self.edges():
+            pair = (tail, head) if tail < head else (head, tail)
+            if pair in got:
+                bad.append(f"edge {pair} oriented both ways")
+            got[pair] = (tail, head)
+        if set(live) != set(got):
             bad.append("rounded edge set differs from the engine's pairs")
-        for key, want in live.items():
-            got = self._dir.get(key)
-            if got is not None and got != want:
-                a, b = divmod(key, n)
-                bad.append(f"direction of ({a},{b}) disagrees with majority")
-        deg = [0] * n
-        for key, d in self._dir.items():
-            a, b = divmod(key, n)
-            tail, head = (a, b) if d else (b, a)
-            if head not in self.out[tail]:
-                bad.append(f"adjacency missing {tail}->{head}")
-            deg[tail] += 1
+        for pair, want in live.items():
+            if got.get(pair, want) != want:
+                bad.append(f"direction of {pair} disagrees with majority")
+        deg = [len(heads) for heads in self.out]
         if deg != self.simple_out:
             bad.append("simple out-degrees disagree with directions")
         if self._max != max(deg, default=0):

@@ -10,7 +10,10 @@ copy) act on the counts.  Each entry lives in two intrusive structures:
   notifies out-neighbors of its degree), and
 * one of the head's *in-buckets*, a doubly-linked chain of buckets sorted by
   key descending, so the head can read off its in-neighbor with the largest
-  (exact or perceived) out-degree in O(1).
+  (exact or perceived) out-degree in O(1).  The chain is the only index of
+  its buckets: a new entry finds its bucket by walking down from the top,
+  and a re-key walks from the entry's current bucket, which a refresh moves
+  across O(1) buckets.
 
 Everything is flat parallel lists indexed by small integer ids; these are the
 hottest loops in the package.
@@ -86,7 +89,6 @@ class EngineCore:
         self.out_sz = [0] * n          # ring length = distinct out-neighbors
         self.cursor = [-1] * n         # round-robin position (entry id)
         self.top_bucket = [-1] * n     # bucket node with the largest key
-        self.bmap = [dict() for _ in range(n)]  # key -> bucket node id
 
         # Directed adjacency entries (one per ordered pair with copies).
         self.e_tail: list[int] = []
@@ -320,34 +322,30 @@ class EngineCore:
         return bn
 
     def _bucket_attach(self, v: int, eid: int, perceived: int) -> None:
-        """Place entry eid (an in-neighbor record of v) by its key."""
+        """Place entry eid (an in-neighbor record of v) at the front of the
+        bucket for its key: walk v's descending chain down from the top to
+        the bucket holding the key, or splice a new one into the slot."""
         self.e_perc[eid] = perceived
         th = self.thresholds
         key = perceived if th is None else bisect_right(th, perceived) - 1
-        bn = self.bmap[v].get(key, -1)
-        if bn < 0:
+        bn_key = self.bn_key
+        bn_next = self.bn_next
+        above = -1
+        bn = self.top_bucket[v]
+        while bn >= 0 and bn_key[bn] > key:
+            above = bn
+            bn = bn_next[bn]
+        if bn < 0 or bn_key[bn] != key:
+            below = bn
             bn = self._bn_alloc(key)
-            self.bmap[v][key] = bn
-            # Walk the descending chain from the top to the slot for `key`.
-            top = self.top_bucket[v]
-            if top < 0 or self.bn_key[top] < key:
-                self.bn_prev[bn] = -1
-                self.bn_next[bn] = top
-                if top >= 0:
-                    self.bn_prev[top] = bn
-                self.top_bucket[v] = bn
+            self.bn_prev[bn] = above
+            bn_next[bn] = below
+            if above >= 0:
+                bn_next[above] = bn
             else:
-                p = top
-                bn_next = self.bn_next
-                bn_key = self.bn_key
-                while bn_next[p] >= 0 and bn_key[bn_next[p]] > key:
-                    p = bn_next[p]
-                nxt = bn_next[p]
-                bn_next[p] = bn
-                self.bn_prev[bn] = p
-                self.bn_next[bn] = nxt
-                if nxt >= 0:
-                    self.bn_prev[nxt] = bn
+                self.top_bucket[v] = bn
+            if below >= 0:
+                self.bn_prev[below] = bn
         head = self.bn_head[bn]
         self.bk_prev[eid] = -1
         self.bk_next[eid] = head
@@ -379,7 +377,6 @@ class EngineCore:
                 self.top_bucket[v] = bq
             if bq >= 0:
                 self.bn_prev[bq] = bp
-            del self.bmap[v][self.bn_key[bn]]
             self._bn_free.append(bn)
 
     def move_bucket(self, eid: int, new_perceived: int,
@@ -390,10 +387,11 @@ class EngineCore:
         already has it (a refresh computes it once for all the entries it
         moves); it is derived here when omitted.
 
-        Same-bucket moves only store the value.  Cross-bucket moves locate
-        the target relative to the entry's current bucket, so the common
-        adjacent-bucket move costs O(1) splices.  An entry alone in its
-        bucket, moving to a key no bucket holds yet with no bucket lying
+        Same-bucket moves only store the value.  Cross-bucket moves walk
+        the chain from the entry's current bucket toward the new key and
+        stop at the bucket holding it or at the slot for it; a refresh moves
+        a key across O(1) buckets, so the walk is short.  An entry alone in
+        its bucket, moving to a key no bucket holds yet with no bucket lying
         between the two keys, keeps its node: the node is re-keyed in place,
         since the chain order is already right.
         """
@@ -411,7 +409,6 @@ class EngineCore:
         if new_key == old_key:
             return
         v = self.e_head[eid]
-        bmap = self.bmap[v]
         bn_prev = self.bn_prev
         bn_next = self.bn_next
         bn_head = self.bn_head
@@ -419,23 +416,23 @@ class EngineCore:
         bk_prev = self.bk_prev
         nxt = bk_next[eid]
         prv = bk_prev[eid]
-        target = bmap.get(new_key, -1)
-        if target < 0:
-            # Find the slot for new_key next to the current bucket.
-            if new_key > old_key:
-                p = bn
-                while bn_prev[p] >= 0 and bn_key[bn_prev[p]] < new_key:
-                    p = bn_prev[p]
-                above, below = bn_prev[p], p
-            else:
-                p = bn
-                while bn_next[p] >= 0 and bn_key[bn_next[p]] > new_key:
-                    p = bn_next[p]
-                above, below = p, bn_next[p]
+        # Walk from the current bucket toward new_key while the next bucket
+        # lies strictly between; new_key's slot is then (above, below), and
+        # that next bucket, ``target``, holds new_key if any bucket does.
+        p = bn
+        if new_key > old_key:
+            while bn_prev[p] >= 0 and bn_key[bn_prev[p]] < new_key:
+                p = bn_prev[p]
+            above, below = bn_prev[p], p
+            target = above
+        else:
+            while bn_next[p] >= 0 and bn_key[bn_next[p]] > new_key:
+                p = bn_next[p]
+            above, below = p, bn_next[p]
+            target = below
+        if target < 0 or bn_key[target] != new_key:
             if p == bn and prv < 0 and nxt < 0:
-                del bmap[old_key]
                 bn_key[bn] = new_key
-                bmap[new_key] = bn
                 return
             # Splice a fresh bucket node into the slot before the detach
             # below can recycle the current one.
@@ -452,7 +449,6 @@ class EngineCore:
                 bn_prev.append(above)
                 bn_next.append(below)
                 bn_head.append(-1)
-            bmap[new_key] = target
             if above >= 0:
                 bn_next[above] = target
             else:
@@ -475,7 +471,6 @@ class EngineCore:
                 self.top_bucket[v] = bq
             if bq >= 0:
                 bn_prev[bq] = bp
-            del bmap[old_key]
             self._bn_free.append(bn)
         head = bn_head[target]
         bk_prev[eid] = -1
@@ -919,8 +914,6 @@ class EngineCore:
                 key = self.bn_key[bn]
                 if prev_key is not None and key >= prev_key:
                     bad.append(f"vertex {v}: bucket keys not descending")
-                if self.bmap[v].get(key) != bn:
-                    bad.append(f"vertex {v}: bucket map mismatch at key {key}")
                 if self.bn_prev[bn] != prev_bn:
                     bad.append(f"vertex {v}: bucket chain backlink broken")
                 e = self.bn_head[bn]
@@ -947,8 +940,6 @@ class EngineCore:
                 prev_key = key
                 prev_bn = bn
                 bn = self.bn_next[bn]
-            if len(self.bmap[v]) != self._chain_len(v):
-                bad.append(f"vertex {v}: bucket map size mismatch")
         if len(bucket_seen) != len(seen_entries):
             bad.append("some live entries are missing from buckets")
         # At update boundaries recorded degrees are exact whenever the ring
@@ -964,14 +955,6 @@ class EngineCore:
                         f"entry {eid}: recorded degree {self.e_perc[eid]} "
                         f"!= exact {self.out_deg[t]}")
         return bad
-
-    def _chain_len(self, v: int) -> int:
-        cnt = 0
-        bn = self.top_bucket[v]
-        while bn >= 0:
-            cnt += 1
-            bn = self.bn_next[bn]
-        return cnt
 
     def _audit_critical_ineq(self, t: int, h: int) -> None:
         """After any reorientation of a copy t->h:

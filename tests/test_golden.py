@@ -4,10 +4,10 @@ Each run attaches all four applications and an EventHasher and replays a
 seeded ``random`` or ``drifting-density`` workload.  The pinned values are
 the event digest and count, the engine's flip and suppression totals, the
 rounding's simple-flip total, SHA-256 digests of the final engine, rounding
-and application state, and the number of bucket re-keys.  A refactor or optimisation of the
-update path must leave every digest unchanged; an optimisation that saves
-re-keys, or a deliberate behaviour change, re-pins what it moves and says
-why.
+and application state, and the number of bucket re-keys.  A refactor or
+optimisation of the update path must leave every digest unchanged; an
+optimisation that saves re-keys, or a deliberate behaviour change, re-pins
+what it moves and says why.
 """
 
 import hashlib

@@ -182,7 +182,6 @@ class TestMoveBucket:
         engine.move_bucket(ent[1], 6)
         engine.move_bucket(ent[1], 4)
         assert engine.e_bnode[ent[1]] == node
-        assert sorted(engine.bmap[0]) == [1, 4]
         assert self._chain_keys(engine, 0) == [4, 1]
         assert len(engine.bn_key) == nodes
         assert check(engine) == []
@@ -204,6 +203,29 @@ class TestMoveBucket:
             engine.move_bucket(e, 1)
         assert self._chain_keys(engine, 0) == [1]
         assert audit_state(stack) == []
+
+    def test_move_past_a_bucket_joins_existing_key_without_allocating(self):
+        stack = _stack32()
+        for t in (1, 2, 3, 4):
+            stack.insert(t, 0)     # four in-entries of 0, all at degree 1
+        engine = stack.engine
+        ent = {engine.e_tail[e]: e for e in engine.in_entries(0)}
+        engine.move_bucket(ent[1], 5)
+        engine.move_bucket(ent[2], 3)
+        assert self._chain_keys(engine, 0) == [5, 3, 1]
+        nodes = len(engine.bn_key)
+        free = len(engine._bn_free)
+
+        # Up from a shared bucket, past 3, into the bucket of key 5.
+        engine.move_bucket(ent[3], 5)
+        assert engine.e_bnode[ent[3]] == engine.e_bnode[ent[1]]
+        assert engine.first_in_entry(0) == ent[3]
+        # Down from a shared bucket, past 3, into the bucket of key 1.
+        engine.move_bucket(ent[1], 1)
+        assert engine.e_bnode[ent[1]] == engine.e_bnode[ent[4]]
+        assert self._chain_keys(engine, 0) == [5, 3, 1]
+        assert (len(engine.bn_key), len(engine._bn_free)) == (nodes, free)
+        assert self._bucket_violations(engine) == []
 
     def test_detached_entry_is_corruption(self):
         stack = OrientationStack(OrientationConfig.fast_additive(16))
