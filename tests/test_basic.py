@@ -157,27 +157,43 @@ def test_recorded_degrees_exact_after_every_update(builder):
         assert stack.engine.structural_violations() == []
 
 
-@pytest.mark.parametrize("preset", ["simple-additive", "simple-multiplicative"])
-def test_delete_chain_reads_exact_in_buckets(preset):
-    # Whenever a deletion chain reads a head's in-buckets, every in-entry
-    # there records its tail's exact out-degree, and the keys descend along
-    # the bucket chain, however the engine schedules its ring refreshes.
+@pytest.mark.parametrize("preset", ["simple-additive", "simple-multiplicative",
+                                    "fast-additive", "fast-multiplicative"])
+def test_delete_chain_flips_toward_a_true_maximum(preset):
+    # Whatever the engine defers, every copy a deletion chain flips comes
+    # from an in-entry that records its tail's exact out-degree, and no
+    # in-entry of the chain head has a larger bucket key by its tail's
+    # exact out-degree.  Other in-entries may record a stale degree.
     n = 40
     stack = OrientationStack(OrientationConfig.from_preset(preset, n))
     engine = stack.engine
-    first_in_entry = engine.first_in_entry
-    reads = 0
+    out_deg = engine.out_deg
+    e_tail = engine.e_tail
+    flip_copy = engine._flip_copy
+    delete = engine.delete
+    deleting = False
+    flips = 0
 
-    def checked(v):
-        nonlocal reads
-        reads += 1
-        keys = []
-        for e in engine.in_entries(v):
-            assert engine.e_perc[e] == engine.out_deg[engine.e_tail[e]]
-            keys.append(engine.e_perc[e])
-        assert keys == sorted(keys, reverse=True)
-        return first_in_entry(v)
+    def deleting_edge(u, v):
+        nonlocal deleting
+        deleting = True
+        try:
+            delete(u, v)
+        finally:
+            deleting = False
 
-    engine.first_in_entry = checked
+    def checked(eid):
+        nonlocal flips
+        if deleting:
+            flips += 1
+            x = e_tail[eid]
+            assert engine.e_perc[eid] == out_deg[x]
+            top = engine._bucket_key(out_deg[x])
+            assert all(engine._bucket_key(out_deg[e_tail[e]]) <= top
+                       for e in engine.in_entries(engine.e_head[eid]))
+        flip_copy(eid)
+
+    engine.delete = deleting_edge
+    engine._flip_copy = checked
     Fuzzer(stack, seed=47, max_edges=6 * n).run(800)
-    assert reads > stack.cfg.b * 100
+    assert flips > 20

@@ -143,10 +143,12 @@ def test_insert_that_raises_leaves_no_deferral_behind():
     assert engine._audits_due == []
 
 
-def test_delete_that_raises_leaves_no_deferral_behind():
-    # The exact engine defers a delete's refreshes as it does an insert's;
-    # a delete that fails partway must not leave that deferral behind.
-    stack = OrientationStack(OrientationConfig.simple_multiplicative(16),
+@pytest.mark.parametrize("preset",
+                         ["simple-multiplicative", "fast-multiplicative"])
+def test_delete_that_raises_leaves_no_deferral_behind(preset):
+    # Both engines defer a delete's refreshes as they do an insert's; a
+    # delete that fails partway must not leave that deferral behind.
+    stack = OrientationStack(OrientationConfig.from_preset(preset, 16),
                              audit_hooks=True)
     fz = Fuzzer(stack, seed=5)
     fz.run(40)
