@@ -13,9 +13,9 @@ are keyed by the exact out-degree of the in-neighbor, and a refresh tells
 the whole ring (the window is n, so no ring outgrows it), so a degree change
 re-files the vertex in all of its out-neighbors' bucket lists: once per
 committed vertex at the end of an insertion or a deletion, in last-commit
-order.  A deletion chain first re-files, at each vertex whose in-buckets it
-reads, the entries of the vertices still waiting; see
-``EngineCore._insert_chain`` and ``EngineCore._delete_chain``.
+order.  A deletion chain re-files early only the stale entry on top of the
+in-buckets it reads; see ``EngineCore._insert_chain`` and
+``EngineCore._delete_chain``.
 
 A flip only happens when it strictly advances the chain (insert: toward a
 smaller degree, delete: toward a larger one).  The guards already imply

@@ -30,8 +30,9 @@ class OrientationEvent(NamedTuple):
     """One engine mutation.
 
     For copy events ``u``/``v`` are tail/head of the copy concerned
-    (for a flip: the old orientation).  For degree events ``v`` carries the
-    new out-degree.  For simple-edge events ``u < v``.
+    (for a flip: the old orientation).  For degree events ``u`` and ``v``
+    are both the vertex and ``payload`` is its new out-degree.  For
+    simple-edge events ``u < v``.
     """
 
     kind: str

@@ -7,12 +7,12 @@ Differences from the exact engine:
   violation it sees (checked against *exact* degrees) and refreshing the
   recorded degree of the chain head at every scanned neighbor, unless the
   head waits for an end-of-insert refresh (below), which covers them.
-* After a committed decrement, the vertex informs the next
-  ceil(128/(eta/b)) out-neighbors of its new degree; everyone else keeps a
-  stale *perceived* value.  An insert does the same after each committed
-  increment once some ring is longer than that window.  Until then every
-  window covers the whole ring, and the core refreshes each ring once,
-  after the insert's last copy, as in the exact engine.
+* Once some ring is longer than ceil(128/(eta/b)), a vertex informs the
+  next that many out-neighbors of each committed degree change; everyone
+  else keeps a stale *perceived* value.  Until then every window covers the
+  whole ring, and the core refreshes each ring once, after the update's
+  last copy, as in the exact engine; a deletion chain re-keys the stale
+  entry it reads.
 * In-buckets are keyed geometrically: an in-neighbor with perceived degree p
   sits in bucket j iff (1 + slack/64)^j <= p < (1 + slack/64)^(j+1), so a
   refresh moves it by O(1) buckets.  Deletion reads its flip candidate and

@@ -10,10 +10,15 @@ copy) act on the counts.  Each entry lives in two intrusive structures:
   notifies out-neighbors of its degree), and
 * one of the head's *in-buckets*, a doubly-linked chain of buckets sorted by
   key descending, so the head can read off its in-neighbor with the largest
-  (exact or perceived) out-degree in O(1).  The chain is the only index of
-  its buckets: a new entry finds its bucket by walking down from the top,
-  and a re-key walks from the entry's current bucket, which a refresh moves
-  across O(1) buckets.
+  recorded (exact or perceived) out-degree in O(1).  The chain is the only
+  index of its buckets: a new entry finds its bucket by walking down from
+  the top, and a re-key walks from the entry's current bucket, which a
+  refresh moves across O(1) buckets.
+
+An update may defer its ring refreshes to its end, so a recorded degree can
+lag inside it.  A deletion only commits -1s, so there it lags upward, and
+the one entry a deletion chain reads, the top of a head's in-buckets, is
+re-keyed when stale; see ``EngineCore._delete_chain``.
 
 Everything is flat parallel lists indexed by small integer ids; these are the
 hottest loops in the package.
@@ -42,16 +47,15 @@ class EngineCore:
     the scan finds none; after a copy is removed, ``_delete_chain`` flips
     toward the in-neighbor with the largest recorded degree while the guard
     holds.  Flips go through ``_flip_copy``, the final ±1 through
-    ``_commit`` and the ring update through ``_refresh``.  An update may
-    defer the refreshes to its end (``pending``, flushed by ``_flush``): an
-    insert while every ring fits in the window, a delete while buckets are
-    keyed by the exact degree, settling before each in-bucket read only the
-    entries aimed at the head it reads (``_settle``).  Subclasses provide
-    only ``_scan`` and, for audit builds, the ``_audit_post_*`` hooks run
-    after each commit.  The core also owns the pair registry, the
-    ring/bucket mechanics and the bucket key (exact degree, or its
-    geometric index in fast mode), event emission, and the per-update
-    counters.
+    ``_commit`` and the ring update through ``_refresh``.  An insert or a
+    delete defers the refreshes to its end (``pending``, flushed by
+    ``_flush``) while every ring fits in the window, which is always in
+    exact mode; a delete chain re-keys the one stale entry it reads.
+    Subclasses provide only ``_scan`` and, for audit builds, the
+    ``_audit_post_*`` hooks run after each commit.  The core also owns the
+    pair registry, the ring/bucket mechanics and the bucket key (exact
+    degree, or its geometric index in fast mode), event emission, and the
+    per-update counters.
     """
 
     #: True when in-buckets are keyed by the geometric index of a perceived
@@ -146,7 +150,7 @@ class EngineCore:
         While no ring is longer than the window (always, in exact mode) the
         ring of each vertex that committed is refreshed once, after the last
         copy; see ``_insert_chain`` and ``_flush``.  Otherwise every commit
-        refreshes at once."""
+        refreshes at once.  ``delete`` defers under the same rule."""
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
         key = a * self.n + c
@@ -189,10 +193,11 @@ class EngineCore:
         current out-degree (ties toward u), falling back to the opposite
         direction when that side has no copies left.
 
-        With in-buckets keyed by the exact degree, the ring of each vertex
-        that committed is refreshed once, after the last copy, and each
-        chain first settles the in-entries it reads; see ``_delete_chain``.
-        In fast mode every commit refreshes at once.
+        Refreshes are deferred as in ``insert``: while no ring is longer
+        than the window, the ring of each vertex that committed is refreshed
+        once, after the last copy, and each chain re-keys the stale entry
+        it reads; see ``_delete_chain``.  A flip that pushes a ring past the
+        window flushes and ends the deferral mid-delete.
         """
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
@@ -208,7 +213,7 @@ class EngineCore:
             self.rounding.simple_deleted(a, c)
         out_deg = self.out_deg
         e_cnt = self.e_cnt
-        pending = self.pending = {} if self.thresholds is None else None
+        self.pending = None if self.long_rings else {}
         try:
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] >= out_deg[v] else (v, u)
@@ -221,8 +226,8 @@ class EngineCore:
                 self._remove_copy(ent, pid)
                 if rec is not None:
                     rec.emit(ev.COPY_REMOVED, t, h)
-                self._delete_chain(t, pending)
-            if pending is not None:
+                self._delete_chain(t)
+            if self.pending is not None:
                 self._flush()
         finally:
             self.pending = None
@@ -264,9 +269,9 @@ class EngineCore:
             # u's ring outgrows the window.  From here on a refresh walks
             # part of it and moves the cursor, so refreshes cannot wait: the
             # pending ones run now, before the ring changes, and the rest of
-            # the insert refreshes after every commit.  Only an insert gets
-            # here while deferring: a delete defers only in exact mode, where
-            # no ring reaches the window n.
+            # the update refreshes after every commit.  In a delete, a flip
+            # gets here; the chain reads ``self.pending`` again afterwards.
+            # Never in exact mode, where no ring reaches the window n.
             self.long_rings += 1
             if self.pending is not None:
                 self._flush()
@@ -593,11 +598,12 @@ class EngineCore:
         if self.audit_hooks:
             self._audit_critical_ineq(t, h)
 
-    def _commit(self, u: int, d: int) -> None:
+    def _commit(self, u: int, d: int, audit) -> None:
         """Set u's out-degree to d and announce it to the degree listener
-        and the recorder.  The out-neighbors hear of it through
-        ``_refresh``, which the chains call after the commit or, while the
-        update defers, ``_flush`` calls once per vertex."""
+        and the recorder.  Without ``pending`` the out-neighbors hear of it
+        at once through ``_refresh``, and audit builds then run
+        ``audit(u)``.  With it, u moves to the end of ``pending`` with its
+        new degree, and ``_flush`` refreshes its ring and runs the audit."""
         self.out_deg[u] = d
         dl = self.degree_listener
         if dl is not None:
@@ -605,6 +611,16 @@ class EngineCore:
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
+        pending = self.pending
+        if pending is None:
+            self._refresh(u, d)
+            if self.audit_hooks:
+                audit(u)
+        else:
+            pending.pop(u, None)
+            pending[u] = d
+            if self.audit_hooks:
+                self._audits_due.append((audit, u))
 
     def _refresh(self, u: int, d: int) -> None:
         """Tell the next ``window`` out-neighbors of u, from its cursor,
@@ -632,7 +648,7 @@ class EngineCore:
         """Run the refreshes an insert or a delete deferred, each pending
         ring once with its vertex's latest degree, in last-commit order;
         then the audits of the deferred commits, and stop deferring.
-        Entries a delete chain already settled record that degree and are
+        Entries a delete chain already re-keyed record that degree and are
         not moved again."""
         pending = self.pending
         self.pending = None
@@ -643,24 +659,6 @@ class EngineCore:
                 audit(w)
             self._audits_due.clear()
 
-    def _settle(self, h: int) -> None:
-        """Re-key the in-entries of h whose tails wait in ``pending``: for
-        each pending w, in last-commit order, the entry w->h, if it exists
-        and still records an older degree.  Exact mode only: the degree is
-        its own bucket key."""
-        n = self.n
-        pairs = self.pairs
-        p_eab = self.p_eab
-        p_eba = self.p_eba
-        e_perc = self.e_perc
-        move = self.move_bucket
-        for w, d in self.pending.items():
-            pid = pairs.get(w * n + h if w < h else h * n + w, -1)
-            if pid >= 0:
-                e = p_eab[pid] if w < h else p_eba[pid]
-                if e >= 0 and e_perc[e] != d:
-                    move(e, d, d)
-
     # ------------------------------------------------------------------
     # Flip chains.
     # ------------------------------------------------------------------
@@ -670,10 +668,9 @@ class EngineCore:
         toward the out-neighbor the scan picks until it picks none, then
         commit the +1 where the chain stopped.
 
-        Without ``pending`` the commit refreshes the ring at once.  With
-        it, the vertex moves to the end of ``pending`` with its new degree
-        and ``_flush`` refreshes each ring once, in last-commit order.
-        Nothing inside an insert reads a recorded degree (scans compare
+        The commit refreshes the ring at once or, while the update defers,
+        leaves it to ``_flush``, which refreshes each pending ring once, in
+        last-commit order.  Nothing inside an insert reads a recorded degree (scans compare
         exact degrees), and while every ring fits in the window a refresh
         walks the whole ring and leaves the cursor where it was, so waiting
         changes no recorded degree and no cursor.  The scan's and the
@@ -701,75 +698,52 @@ class EngineCore:
             e = scan(t, out_deg[t])
         if chain > self.last_chain:
             self.last_chain = chain
-        d = out_deg[t] + 1
-        self._commit(t, d)
-        pending = self.pending
-        if pending is None:
-            self._refresh(t, d)
-            if self.audit_hooks:
-                self._audit_post_increment(t)
-        else:
-            pending.pop(t, None)
-            pending[t] = d
-            if self.audit_hooks:
-                self._audits_due.append((self._audit_post_increment, t))
+        self._commit(t, out_deg[t] + 1, self._audit_post_increment)
 
-    def _delete_chain(self, u: int, pending) -> None:
+    def _delete_chain(self, u: int) -> None:
         """Restore the invariant after a copy out of u was removed: while
         the in-neighbor with the largest recorded degree violates the guard
         against u, flip its copy, then commit the -1 where the chain
-        stopped.
+        stopped.  The commit refreshes or defers as in ``_insert_chain``.
 
-        ``pending`` is the delete's deferral (``self.pending``), passed in
-        so that the fast path pays no lookup for it.  With it (exact mode)
-        the commit's refresh waits for the flush, and the chain reads exact
-        recorded degrees anyway: it reads only the in-buckets of the heads
-        it visits, so it settles u before its first read and each flip's
-        tail x before the flip, which attaches or joins an entry at x and
-        hands the chain on to x.  With exact keys every change of a
-        recorded degree moves the entry to another bucket, so settling and
-        flushing in last-commit order move each entry last in the order an
-        eager refresh would have: bucket sibling order, and with it every
-        later tie-break, is unchanged.  Geometric keys lose this, as a
-        re-key inside one bucket does not reorder the entry, so fast mode
-        refreshes after every commit.
+        While the update defers, the chain reads only the top entry of each
+        head's in-buckets, and re-keys it first if it records another degree
+        than its tail's.  That is enough: every recorded degree was exact
+        when the update began and only -1s have been committed since, so a
+        stale one is too high and its key is at or above the true one.  A
+        fresh top entry therefore has the largest true key.  Other entries
+        wait for the flush.  A flip can push a ring past the window, which
+        flushes and ends the deferral, so the chain reads ``self.pending``
+        at every read rather than once.  Without a deferral the recorded
+        degrees are the perceived ones and are read as they stand.
         """
         lhs, rhs, add = self.guard
         out_deg = self.out_deg
         e_perc = self.e_perc
+        e_tail = self.e_tail
         chain = 0
-        if pending:
-            self._settle(u)
         while True:
             x_ent = self.first_in_entry(u)
             if x_ent < 0:
                 break
+            x = e_tail[x_ent]
+            dx = out_deg[x]
+            if e_perc[x_ent] != dx and self.pending is not None:
+                self.move_bucket(x_ent, dx)
+                continue
             du = out_deg[u]
             if e_perc[x_ent] * lhs <= rhs * (du - 1) + add:
                 break
-            x = self.e_tail[x_ent]
-            if out_deg[x] <= du:
+            if dx <= du:
                 self.last_suppressed += 1
                 self.total_suppressed += 1
                 break
-            if pending:
-                self._settle(x)
             self._flip_copy(x_ent)
             chain += 1
             u = x
         if chain > self.last_chain:
             self.last_chain = chain
-        d = out_deg[u] - 1
-        self._commit(u, d)
-        if pending is None:
-            self._refresh(u, d)
-            if self.audit_hooks:
-                self._audit_post_decrement(u)
-        else:
-            pending.pop(u, None)
-            pending[u] = d
-            if self.audit_hooks:
-                self._audits_due.append((self._audit_post_decrement, u))
+        self._commit(u, out_deg[u] - 1, self._audit_post_decrement)
 
     def _scan(self, t: int, dt: int) -> int:
         """Entry of the out-neighbor the chain at t (out-degree dt, before
@@ -945,8 +919,8 @@ class EngineCore:
         # At update boundaries recorded degrees are exact whenever the ring
         # fits in the refresh window: always in exact mode (window n), up to
         # rr_width in fast.  Inside an update that defers its refreshes they
-        # lag until the flush, or in a delete until a chain settles their
-        # head; see _insert_chain and _delete_chain.
+        # lag until the flush, or in a delete until a chain reads the entry;
+        # see _insert_chain and _delete_chain.
         for eid in seen_entries:
             t = self.e_tail[eid]
             if self.out_sz[t] <= self.window:

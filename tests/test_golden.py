@@ -41,24 +41,24 @@ GOLDEN = {
                               "6c84c386a5c02038", "4f34c44952009dd5"),
     "fast-additive": ("f94f52977fa9fef9", 22660, 3160, 0, 596,
                       "51c589849c240152", "42c2777c546afdab"),
-    "fast-multiplicative": ("372c15802741addb", 44191, 6691, 686, 659,
+    "fast-multiplicative": ("44ba19618aa527cb", 44191, 6691, 686, 659,
                             "4b3f7e6c92e0487f", "ad61b72d39a2e691"),
-    "eps-density": ("704c37fc0150766a", 340607, 99107, 4494, 1287,
-                    "87d5da1a73742e46", "33adda7d5305bb09"),
+    "eps-density": ("218c9d051901c90a", 340594, 99094, 4494, 1303,
+                    "e62495f452a0ec77", "bd962e1f52d225d6"),
 }
 
 # Bucket re-keys (``engine.move_bucket`` calls) on the pinned workload: the
-# work a refresh does, which the digests cannot see.  Inserts refresh each
-# ring once, after the last copy, and skip the scan's and the join's re-keys
-# of a vertex waiting for that refresh; with b = 1 (simple-additive) there
-# is nothing to defer.  Deletes do the same in the exact engine, re-keying
-# early only the entries aimed at a head that a deletion chain reads.
+# work a refresh does, which the digests cannot see.  Inserts and deletes
+# refresh each ring once, after the last copy, and skip the scan's and the
+# join's re-keys of a vertex waiting for that refresh; with b = 1
+# (simple-additive) there is nothing to defer.  A deletion chain re-keys
+# early only the stale entry on top of the in-buckets it reads.
 MOVES = {
     "simple-additive": 2428,
-    "simple-multiplicative": 15376,
-    "fast-additive": 19200,
-    "fast-multiplicative": 34308,
-    "eps-density": 203037,
+    "simple-multiplicative": 14301,
+    "fast-additive": 14970,
+    "fast-multiplicative": 21386,
+    "eps-density": 107790,
 }
 
 
@@ -156,21 +156,21 @@ DRIFT_N = 48
 DRIFT_GOLDEN = {
     "simple-additive": ("c01d28154b5c63c2", 3593, 89, 0, 89,
                         "674b849f65e9b00b", "cc45073c17cf6504"),
-    "simple-multiplicative": ("28557d21f5b8a2cc", 26771, 2243, 24, 275,
-                              "3021da6753fd6a07", "2e4696ec2ff8f8cb"),
-    "fast-additive": ("aec729fb0221efff", 17778, 2594, 0, 487,
+    "simple-multiplicative": ("7d1af81c2e174357", 26767, 2239, 24, 267,
+                              "c01b7904d5a09f17", "6926fbd28b184ea6"),
+    "fast-additive": ("867fcaf4f76c6ac5", 17781, 2597, 0, 492,
                       "2f6c88e92e9a5a0a", "5f158412410173b9"),
-    "fast-multiplicative": ("d4c2813612f0e7f5", 34720, 5520, 48, 543,
-                            "438152d959b3e128", "5038f8c6a54568c3"),
-    "eps-density": ("cfbe595a3d64ae94", 271149, 83101, 320, 1129,
-                    "428aa17fdc325b5c", "845146b56115c40e"),
+    "fast-multiplicative": ("aeb7e3fe39e0ff1c", 34711, 5511, 48, 545,
+                            "8bd9dfed6cc76ce3", "898e76d482cde484"),
+    "eps-density": ("7648c62c61458321", 271214, 83166, 320, 1088,
+                    "1cea439457d64fbc", "6855c6a3e0394207"),
 }
 DRIFT_MOVES = {
     "simple-additive": 2686,
-    "simple-multiplicative": 18510,
-    "fast-additive": 22412,
-    "fast-multiplicative": 42125,
-    "eps-density": 222358,
+    "simple-multiplicative": 17474,
+    "fast-additive": 17320,
+    "fast-multiplicative": 26921,
+    "eps-density": 109177,
 }
 
 
@@ -231,9 +231,10 @@ def test_golden_digest_stale_regime():
 
 
 # Stale regime with b > 1: fast-multiplicative (b=12) with the window cut to
-# 4, so rings outgrow it and an insert's copies commit while some ring is
-# longer than the window.  Pinned: event digest and count, copy flips and the
-# number of stale recorded degrees.
+# 4, so rings outgrow it and an update's copies commit while some ring is
+# longer than the window; at least one delete's flip pushes a ring past the
+# window while the delete defers, and flushes mid-chain.  Pinned: event
+# digest and count, copy flips and the number of stale recorded degrees.
 SMALL_WINDOW_N = 48
 SMALL_WINDOW_GOLDEN = ("383d2e2dd4e1b461", 59567, 9567, 5)
 
@@ -243,15 +244,30 @@ def test_golden_digest_small_window():
     cfg.rr_width = 4
     hasher = EventHasher()
     stack = OrientationStack(cfg, recorder=hasher)
+    engine = stack.engine
+    ring_insert = engine._ring_insert
+    deleting = False
+    delete_flushes = 0
+
+    def counting(eid, u):
+        # _ring_insert flushes when a deferring update outgrows the window.
+        nonlocal delete_flushes
+        if (deleting and engine.pending is not None
+                and engine.out_sz[u] == engine.window):
+            delete_flushes += 1
+        ring_insert(eid, u)
+
+    engine._ring_insert = counting
     _, ops = parse_workload(generate("random", SMALL_WINDOW_N, 2000, seed=2,
                                      max_edges=2 * SMALL_WINDOW_N))
     for op in ops:
-        if op.kind == "+":
-            stack.insert(op.u, op.v)
-        else:
+        deleting = op.kind != "+"
+        if deleting:
             stack.delete(op.u, op.v)
+        else:
+            stack.insert(op.u, op.v)
     assert audit_state(stack) == []
-    engine = stack.engine
+    assert delete_flushes >= 1
     assert max(engine.out_sz) == 6 > engine.window
     assert (f"{hasher.digest:016x}", hasher.count, engine.total_copy_flips,
             _stale_count(engine)) == SMALL_WINDOW_GOLDEN
