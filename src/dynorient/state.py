@@ -670,12 +670,13 @@ class EngineCore:
 
         The commit refreshes the ring at once or, while the update defers,
         leaves it to ``_flush``, which refreshes each pending ring once, in
-        last-commit order.  Nothing inside an insert reads a recorded degree (scans compare
-        exact degrees), and while every ring fits in the window a refresh
-        walks the whole ring and leaves the cursor where it was, so waiting
-        changes no recorded degree and no cursor.  The scan's and the
-        join's re-keys of a pending vertex's entries are skipped: the flush
-        redoes them, and at once they would find nothing stale.
+        last-commit order.  Nothing inside an insert reads a recorded
+        degree (scans compare exact degrees), and while every ring fits in
+        the window a refresh walks the whole ring and leaves the cursor
+        where it was, so waiting changes no recorded degree and no cursor.
+        The scan's and the join's re-keys of a pending vertex's entries are
+        skipped: the flush redoes them, and at once they would find nothing
+        stale.
 
         Last-commit order is the order of each entry's last bucket move had
         every commit refreshed at once, so the bucket sibling order, which
