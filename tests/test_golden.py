@@ -11,12 +11,14 @@ what it moves and says why.
 """
 
 import hashlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
 from dynorient import EventHasher, OrientationConfig, OrientationStack
+from dynorient.harness import EventLogWriter, replay
 from dynorient.oracles import audit_state
 from dynorient.workload import generate, parse_workload
 
@@ -130,6 +132,26 @@ def test_golden_digest_with_audit_hooks(preset):
     # them fails on the pinned workload.
     digests, _, _ = snapshot(preset, audit_hooks=True)
     assert digests == GOLDEN[preset]
+
+
+# The text event log of the pinned ``random`` workload, as ``replay
+# --event-log`` writes it: SHA-256 prefix and line count.  Pins the log
+# format, which the event digests above do not see.
+EVENT_LOG_GOLDEN = {
+    "simple-multiplicative": ("e2e2e2e39c960b18", 34327),
+    "fast-multiplicative": ("715048d3cf2e37a3", 44191),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(EVENT_LOG_GOLDEN))
+def test_golden_event_log(preset):
+    n, ops = parse_workload(generate("random", N, STEPS, seed=SEED,
+                                     max_edges=2 * N))
+    log = io.StringIO()
+    replay(n, ops, BUILDERS[preset](n), recorder=EventLogWriter(log))
+    text = log.getvalue()
+    assert (hashlib.sha256(text.encode()).hexdigest()[:16],
+            text.count("\n")) == EVENT_LOG_GOLDEN[preset]
 
 
 # Dense churn on the exact engine (6n edge cap, twice the steps): many
