@@ -2,28 +2,23 @@
 
 Engines emit events in the exact order they mutate state, so replaying a
 recorded stream reconstructs the per-pair copy counts.  Recording is opt-in;
-hot replays attach the hasher (or nothing) instead of the recorder.
+hot replays attach the hasher (or nothing) instead of the recorder.  A sink's
+``emit`` receives the kind as a small int; ``KIND_NAMES[kind]`` is its name.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-COPY_ADDED = "copy_added"
-COPY_REMOVED = "copy_removed"
-COPY_FLIPPED = "copy_flipped"
-OUT_DEGREE_CHANGED = "out_degree_changed"
-SIMPLE_INSERTED = "simple_inserted"
-SIMPLE_DELETED = "simple_deleted"
+COPY_ADDED = 1
+COPY_REMOVED = 2
+COPY_FLIPPED = 3
+OUT_DEGREE_CHANGED = 4
+SIMPLE_INSERTED = 5
+SIMPLE_DELETED = 6
 
-_KIND_CODES = {
-    COPY_ADDED: 1,
-    COPY_REMOVED: 2,
-    COPY_FLIPPED: 3,
-    OUT_DEGREE_CHANGED: 4,
-    SIMPLE_INSERTED: 5,
-    SIMPLE_DELETED: 6,
-}
+KIND_NAMES = (None, "copy_added", "copy_removed", "copy_flipped",
+              "out_degree_changed", "simple_inserted", "simple_deleted")
 
 
 class OrientationEvent(NamedTuple):
@@ -35,7 +30,7 @@ class OrientationEvent(NamedTuple):
     simple-edge events ``u < v``.
     """
 
-    kind: str
+    kind: str                  # KIND_NAMES entry
     u: int
     v: int
     payload: Optional[int] = None
@@ -47,8 +42,8 @@ class EventRecorder:
     def __init__(self):
         self.events: list[OrientationEvent] = []
 
-    def emit(self, kind: str, u: int, v: int, payload=None) -> None:
-        self.events.append(OrientationEvent(kind, u, v, payload))
+    def emit(self, kind: int, u: int, v: int, payload=None) -> None:
+        self.events.append(OrientationEvent(KIND_NAMES[kind], u, v, payload))
 
     def clear(self) -> None:
         self.events.clear()
@@ -57,15 +52,15 @@ class EventRecorder:
         """Reconstruct per-pair directed copy counts from the stream."""
         counts: dict = {}
         for ev in self.events:
-            if ev.kind == COPY_ADDED:
+            if ev.kind == "copy_added":
                 key = (min(ev.u, ev.v), max(ev.u, ev.v))
                 c = counts.setdefault(key, [0, 0])
                 c[0 if ev.u < ev.v else 1] += 1
-            elif ev.kind == COPY_REMOVED:
+            elif ev.kind == "copy_removed":
                 key = (min(ev.u, ev.v), max(ev.u, ev.v))
                 c = counts.setdefault(key, [0, 0])
                 c[0 if ev.u < ev.v else 1] -= 1
-            elif ev.kind == COPY_FLIPPED:
+            elif ev.kind == "copy_flipped":
                 key = (min(ev.u, ev.v), max(ev.u, ev.v))
                 c = counts.setdefault(key, [0, 0])
                 if ev.u < ev.v:
@@ -90,9 +85,9 @@ class EventHasher:
         self.digest = 0xCBF29CE484222325
         self.count = 0
 
-    def emit(self, kind: str, u: int, v: int, payload=None) -> None:
+    def emit(self, kind: int, u: int, v: int, payload=None) -> None:
         h = self.digest
-        h = (h ^ _KIND_CODES[kind]) * 0x100000001B3 & self._MASK
+        h = (h ^ kind) * 0x100000001B3 & self._MASK
         h = (h ^ (u + 1)) * 0x100000001B3 & self._MASK
         h = (h ^ (v + 1)) * 0x100000001B3 & self._MASK
         if payload is not None:

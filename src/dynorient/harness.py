@@ -17,6 +17,7 @@ from typing import Optional
 
 from .config import OrientationConfig, PRESET_EPS_DENSITY
 from .errors import GraphUpdateError, WorkloadError
+from .events import KIND_NAMES
 from .oracles import FLOW_LIMIT_DEFAULT, audit_state, exact_density
 from .stack import OrientationStack
 from .workload import WorkloadOp
@@ -34,11 +35,11 @@ class EventLogWriter:
     def __init__(self, fh):
         self.fh = fh
 
-    def emit(self, kind: str, u: int, v: int, payload=None) -> None:
+    def emit(self, kind: int, u: int, v: int, payload=None) -> None:
         if payload is None:
-            self.fh.write(f"{kind} {u} {v}\n")
+            self.fh.write(f"{KIND_NAMES[kind]} {u} {v}\n")
         else:
-            self.fh.write(f"{kind} {u} {v} {payload}\n")
+            self.fh.write(f"{KIND_NAMES[kind]} {u} {v} {payload}\n")
 
 
 class ReplayResult:

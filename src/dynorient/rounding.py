@@ -161,12 +161,9 @@ class RoundedOrientation:
         counts, and the degree bookkeeping against the adjacency."""
         bad = []
         live = {}
-        for pid in engine.pairs.values():
-            a, b = engine.p_a[pid], engine.p_b[pid]
-            eab, eba = engine.p_eab[pid], engine.p_eba[pid]
-            cab = engine.e_cnt[eab] if eab >= 0 else 0
-            cba = engine.e_cnt[eba] if eba >= 0 else 0
-            live[a, b] = (a, b) if cab > cba or (cab == cba) else (b, a)
+        for a, b in engine.edges():
+            cab, cba = engine.copy_counts(a, b)
+            live[a, b] = (a, b) if cab >= cba else (b, a)
         got = {}
         for tail, head in self.edges():
             pair = (tail, head) if tail < head else (head, tail)

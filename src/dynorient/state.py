@@ -2,9 +2,12 @@
 
 The maintained object is an orientation of G^b, the input graph with every
 edge duplicated b times.  Copies between the same ordered vertex pair are
-interchangeable, so the adjacency stores one *entry* per directed neighbor
-pair carrying a copy count; copy-level operations (insert, remove, flip one
-copy) act on the counts.  Each entry lives in two intrusive structures:
+interchangeable, so the adjacency stores one *entry* per direction of a
+pair, carrying a copy count; copy-level operations (insert, remove, flip one
+copy) act on the counts.  Pair p = {a, c} with a < c owns entries 2p (a->c)
+and 2p+1 (c->a) for as long as the edge lives, so a copy's reverse entry is
+``eid ^ 1``.  An entry holding copies lives in two intrusive structures; an
+empty one is in neither:
 
 * the tail's circular *out-ring* (the round-robin order in which the tail
   notifies out-neighbors of its degree), and
@@ -53,9 +56,10 @@ class EngineCore:
     exact mode; a delete chain re-keys the one stale entry it reads.
     Subclasses provide only ``_scan`` and, for audit builds, the
     ``_audit_post_*`` hooks run after each commit.  The core also owns the
-    pair registry, the ring/bucket mechanics and the bucket key (exact
-    degree, or its geometric index in fast mode), event emission, and the
-    per-update counters.
+    pair registry (a pair id p names entries 2p and 2p+1; no other module
+    relies on that layout), the ring/bucket mechanics and the bucket key
+    (exact degree, or its geometric index in fast mode), event emission,
+    and the per-update counters.
     """
 
     #: True when in-buckets are keyed by the geometric index of a perceived
@@ -94,7 +98,8 @@ class EngineCore:
         self.cursor = [-1] * n         # round-robin position (entry id)
         self.top_bucket = [-1] * n     # bucket node with the largest key
 
-        # Directed adjacency entries (one per ordered pair with copies).
+        # Directed adjacency entries, two per pair id p: 2p for a->c and
+        # 2p+1 for c->a, where a < c.
         self.e_tail: list[int] = []
         self.e_head: list[int] = []
         self.e_cnt: list[int] = []
@@ -104,7 +109,6 @@ class EngineCore:
         self.bk_prev: list[int] = []
         self.e_bnode: list[int] = []   # bucket node holding this entry
         self.e_perc: list[int] = []    # tail out-degree as recorded at the head
-        self._e_free: list[int] = []
 
         # Bucket nodes, chained per head vertex by key descending.
         self.bn_key: list[int] = []
@@ -113,12 +117,9 @@ class EngineCore:
         self.bn_head: list[int] = []   # first entry in the bucket
         self._bn_free: list[int] = []
 
-        # Pair registry: key = a*n + b with a < b.
+        # Pair registry: key a*n + c with a < c -> pair id.  Freed ids, and
+        # with them both entries, are recycled.
         self.pairs: dict[int, int] = {}
-        self.p_a: list[int] = []
-        self.p_b: list[int] = []
-        self.p_eab: list[int] = []     # entry id for a->b copies, -1 if none
-        self.p_eba: list[int] = []
         self._p_free: list[int] = []
 
         self.m_simple = 0
@@ -164,7 +165,7 @@ class EngineCore:
         try:
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] <= out_deg[v] else (v, u)
-                self._add_copy(t, h, pid)
+                self._add_copy(2 * pid + (t != a))
                 if rec is not None:
                     rec.emit(ev.COPY_ADDED, t, h)
                 self._insert_chain(t)
@@ -180,10 +181,9 @@ class EngineCore:
         if rec is not None:
             rec.emit(ev.SIMPLE_INSERTED, a, c)
         if self.rounding is not None:
-            eab, eba = self.p_eab[pid], self.p_eba[pid]
-            cab = self.e_cnt[eab] if eab >= 0 else 0
-            cba = self.e_cnt[eba] if eba >= 0 else 0
-            self.rounding.simple_inserted(a, c, cab, cba)
+            e = 2 * pid
+            self.rounding.simple_inserted(a, c, self.e_cnt[e],
+                                          self.e_cnt[e + 1])
 
     def delete(self, u: int, v: int) -> None:
         """Delete simple edge {u, v}: drain its b copies one at a time,
@@ -217,13 +217,13 @@ class EngineCore:
         try:
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] >= out_deg[v] else (v, u)
-                ent = self._dir_entry(pid, t)
-                if ent < 0 or e_cnt[ent] == 0:
+                ent = 2 * pid + (t != a)
+                if e_cnt[ent] == 0:
                     t, h = h, t
-                    ent = self._dir_entry(pid, t)
-                if ent < 0:
-                    raise CorruptionError("pair drained early")
-                self._remove_copy(ent, pid)
+                    ent ^= 1
+                    if e_cnt[ent] == 0:
+                        raise CorruptionError("pair drained early")
+                self._remove_copy(ent)
                 if rec is not None:
                     rec.emit(ev.COPY_REMOVED, t, h)
                 self._delete_chain(t)
@@ -233,9 +233,10 @@ class EngineCore:
             self.pending = None
             if self.audit_hooks:
                 self._audits_due.clear()
-        if self.p_eab[pid] >= 0 or self.p_eba[pid] >= 0:
+        if e_cnt[2 * pid] or e_cnt[2 * pid + 1]:
             raise CorruptionError("copies survived a simple-edge drain")
-        self._pair_free(pid, key)
+        del self.pairs[key]
+        self._p_free.append(pid)
         self.m_simple -= 1
         self.updates += 1
 
@@ -245,8 +246,9 @@ class EngineCore:
 
     def edges(self):
         """Live simple edges as (a, b) with a < b, insertion-ordered."""
-        for pid in self.pairs.values():
-            yield self.p_a[pid], self.p_b[pid]
+        n = self.n
+        for key in self.pairs:
+            yield divmod(key, n)
 
     def copy_counts(self, u: int, v: int) -> tuple:
         """(copies u->v, copies v->u) for a live pair."""
@@ -254,9 +256,7 @@ class EngineCore:
         pid = self.pairs.get(a * self.n + c, -1)
         if pid < 0:
             raise MissingEdgeError(f"edge ({u}, {v}) not present")
-        eab, eba = self.p_eab[pid], self.p_eba[pid]
-        cab = self.e_cnt[eab] if eab >= 0 else 0
-        cba = self.e_cnt[eba] if eba >= 0 else 0
+        cab, cba = self.e_cnt[2 * pid], self.e_cnt[2 * pid + 1]
         return (cab, cba) if u == a else (cba, cab)
 
     # ------------------------------------------------------------------
@@ -509,67 +509,37 @@ class EngineCore:
 
     # ------------------------------------------------------------------
     # Copy-level primitives.  _add_copy/_remove_copy do the adjacency work
-    # for one copy of the pair ``pid`` and nothing else: insert/delete emit
+    # for one copy held by an entry and nothing else: insert/delete emit
     # their COPY_ADDED/COPY_REMOVED events, and rounding never hears about
     # them, since a pair is invisible to it while its copies are placed or
     # drained.  _flip_copy is the one way a copy changes sides.
     # ------------------------------------------------------------------
 
-    def _dir_entry(self, pid: int, tail: int) -> int:
-        return self.p_eab[pid] if tail == self.p_a[pid] else self.p_eba[pid]
-
-    def _set_dir_entry(self, pid: int, tail: int, eid: int) -> None:
-        if tail == self.p_a[pid]:
-            self.p_eab[pid] = eid
-        else:
-            self.p_eba[pid] = eid
-
-    def _add_copy(self, t: int, h: int, pid: int) -> None:
-        """Add one copy t->h of pair pid."""
-        eid = self._dir_entry(pid, t)
+    def _add_copy(self, eid: int) -> None:
+        """Add one copy to entry eid.  The first copy links the entry into
+        its tail's ring and its head's in-buckets."""
+        t = self.e_tail[eid]
         dt = self.out_deg[t]
-        if eid < 0:
-            free = self._e_free
-            if free:
-                eid = free.pop()
-                self.e_tail[eid] = t
-                self.e_head[eid] = h
-                self.e_cnt[eid] = 1
-            else:
-                eid = len(self.e_tail)
-                self.e_tail.append(t)
-                self.e_head.append(h)
-                self.e_cnt.append(1)
-                self.rn_next.append(-1)
-                self.rn_prev.append(-1)
-                self.bk_next.append(-1)
-                self.bk_prev.append(-1)
-                self.e_bnode.append(-1)
-                self.e_perc.append(0)
-            self._set_dir_entry(pid, t, eid)
+        cnt = self.e_cnt[eid]
+        self.e_cnt[eid] = cnt + 1
+        if cnt == 0:
             self._ring_insert(eid, t)
-            self._bucket_attach(h, eid, dt)
-        else:
-            self.e_cnt[eid] += 1
+            self._bucket_attach(self.e_head[eid], eid, dt)
+        elif self.e_perc[eid] != dt:
             # A copy joining an existing group refreshes its recorded degree,
             # unless t waits for the flush, which re-keys the entry again.
-            if self.e_perc[eid] != dt:
-                pending = self.pending
-                if pending is None or t not in pending:
-                    self.move_bucket(eid, dt)
+            pending = self.pending
+            if pending is None or t not in pending:
+                self.move_bucket(eid, dt)
 
-    def _remove_copy(self, eid: int, pid: int) -> None:
-        """Remove one copy held by entry eid of pair pid."""
-        cnt = self.e_cnt[eid]
-        if cnt == 1:
-            t = self.e_tail[eid]
-            self._ring_remove(eid, t)
+    def _remove_copy(self, eid: int) -> None:
+        """Remove one copy from entry eid.  The last copy unlinks the entry
+        from its ring and its bucket; the entry stays with its pair."""
+        cnt = self.e_cnt[eid] - 1
+        self.e_cnt[eid] = cnt
+        if cnt == 0:
+            self._ring_remove(eid, self.e_tail[eid])
             self._bucket_detach(self.e_head[eid], eid)
-            self._set_dir_entry(pid, t, -1)
-            self.e_cnt[eid] = 0
-            self._e_free.append(eid)
-        else:
-            self.e_cnt[eid] = cnt - 1
 
     def _flip_copy(self, eid: int) -> None:
         """Reverse one copy held by entry eid (t->h becomes h->t).
@@ -580,16 +550,14 @@ class EngineCore:
         """
         t = self.e_tail[eid]
         h = self.e_head[eid]
-        a, c = (t, h) if t < h else (h, t)
-        pid = self.pairs[a * self.n + c]
-        self._remove_copy(eid, pid)
-        self._add_copy(h, t, pid)
+        self._remove_copy(eid)
+        self._add_copy(eid ^ 1)
         rounding = self.rounding
         if rounding is not None:
-            eab, eba = self.p_eab[pid], self.p_eba[pid]
-            cab = self.e_cnt[eab] if eab >= 0 else 0
-            cba = self.e_cnt[eba] if eba >= 0 else 0
-            rounding.counts_changed(a, c, cab, cba)
+            e = eid & -2
+            e_cnt = self.e_cnt
+            rounding.counts_changed(self.e_tail[e], self.e_head[e],
+                                    e_cnt[e], e_cnt[e + 1])
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.COPY_FLIPPED, t, h)
@@ -755,26 +723,28 @@ class EngineCore:
     # Pair registry plumbing.
     # ------------------------------------------------------------------
 
-    def _pair_alloc(self, a: int, b: int) -> int:
+    def _pair_alloc(self, a: int, c: int) -> int:
+        """Register pair {a, c}, a < c, with its two empty entries; a freed
+        pair id's entries are empty and unlinked, and only renamed."""
         free = self._p_free
         if free:
             pid = free.pop()
-            self.p_a[pid] = a
-            self.p_b[pid] = b
-            self.p_eab[pid] = -1
-            self.p_eba[pid] = -1
+            e = 2 * pid
+            self.e_tail[e] = self.e_head[e + 1] = a
+            self.e_head[e] = self.e_tail[e + 1] = c
         else:
-            pid = len(self.p_a)
-            self.p_a.append(a)
-            self.p_b.append(b)
-            self.p_eab.append(-1)
-            self.p_eba.append(-1)
-        self.pairs[a * self.n + b] = pid
+            pid = len(self.e_tail) >> 1
+            self.e_tail += (a, c)
+            self.e_head += (c, a)
+            self.e_cnt += (0, 0)
+            self.rn_next += (-1, -1)
+            self.rn_prev += (-1, -1)
+            self.bk_next += (-1, -1)
+            self.bk_prev += (-1, -1)
+            self.e_bnode += (-1, -1)
+            self.e_perc += (0, 0)
+        self.pairs[a * self.n + c] = pid
         return pid
-
-    def _pair_free(self, pid: int, key: int) -> None:
-        del self.pairs[key]
-        self._p_free.append(pid)
 
     def _check_pair(self, u: int, v: int) -> None:
         """Reject a bad vertex pair before anything is mutated."""
@@ -804,8 +774,8 @@ class EngineCore:
         cfg = self.cfg
         out_deg = self.out_deg
         for pid in self.pairs.values():
-            for eid in (self.p_eab[pid], self.p_eba[pid]):
-                if eid < 0:
+            for eid in (2 * pid, 2 * pid + 1):
+                if not self.e_cnt[eid]:
                     continue
                 t, h = self.e_tail[eid], self.e_head[eid]
                 if not cfg.invariant_ok(out_deg[t], out_deg[h]):
@@ -820,25 +790,37 @@ class EngineCore:
         """Recompute every structural invariant of the state from scratch."""
         bad = []
         n = self.n
-        # Degrees from the pair registry.
+        e_tail, e_head, e_cnt = self.e_tail, self.e_head, self.e_cnt
+        # Degrees from the pair registry; entries holding copies are live.
         deg = [0] * n
         seen_entries = set()
-        for pid in self.pairs.values():
-            a, b = self.p_a[pid], self.p_b[pid]
+        for key, pid in self.pairs.items():
+            a, c = divmod(key, n)
             total = 0
-            for eid, tail in ((self.p_eab[pid], a), (self.p_eba[pid], b)):
-                if eid < 0:
-                    continue
-                seen_entries.add(eid)
-                cnt = self.e_cnt[eid]
-                if cnt <= 0:
-                    bad.append(f"entry {eid} live with count {cnt}")
-                if self.e_tail[eid] != tail:
-                    bad.append(f"entry {eid} tail mismatch")
+            for eid, tail, head in ((2 * pid, a, c), (2 * pid + 1, c, a)):
+                if e_tail[eid] != tail or e_head[eid] != head or a >= c:
+                    bad.append(f"entry {eid} does not match pair ({a},{c})")
+                cnt = e_cnt[eid]
+                if cnt < 0:
+                    bad.append(f"entry {eid} holds count {cnt}")
+                elif cnt:
+                    seen_entries.add(eid)
                 deg[tail] += cnt
                 total += cnt
             if total != self.b:
-                bad.append(f"pair ({a},{b}) holds {total} copies, not b={self.b}")
+                bad.append(f"pair ({a},{c}) holds {total} copies, not b={self.b}")
+        free = self._p_free
+        for pid in free:
+            if e_cnt[2 * pid] or e_cnt[2 * pid + 1]:
+                bad.append(f"freed pair id {pid} still holds copies")
+        ids = len(self.pairs) + len(free)
+        if len(set(free).union(self.pairs.values())) != ids:
+            bad.append("a pair id is both live and free, or twice either")
+        if len(e_tail) != 2 * ids:
+            bad.append(f"{len(e_tail)} entries for {ids} pair ids")
+        for eid, bn in enumerate(self.e_bnode):
+            if bn != -1 and eid not in seen_entries:
+                bad.append(f"entry {eid} holds no copies but sits in a bucket")
         for u in range(n):
             if deg[u] != self.out_deg[u]:
                 bad.append(f"out_deg[{u}]={self.out_deg[u]} but copies say {deg[u]}")

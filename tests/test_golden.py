@@ -218,8 +218,7 @@ STALE_GOLDEN = ("d630db37b540bfd6", 148213, 208, "3e70ff2877679890",
 
 
 def _live_entries(engine) -> list:
-    return [eid for pid in engine.pairs.values()
-            for eid in (engine.p_eab[pid], engine.p_eba[pid]) if eid >= 0]
+    return [eid for u in range(engine.n) for eid in engine.out_entries(u)]
 
 
 def _stale_count(engine) -> int:

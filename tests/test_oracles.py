@@ -171,6 +171,23 @@ def test_audit_flags_injected_corruption():
     assert audit_state(stack)
     engine.bn_key[bn] = key
     assert audit_state(stack) == []
+    # a pair entry's tail and head swapped
+    eid = next(e for v in range(16) for e in engine.out_entries(v))
+    e_tail, e_head = engine.e_tail, engine.e_head
+    e_tail[eid], e_head[eid] = e_head[eid], e_tail[eid]
+    assert any("does not match pair" in line for line in audit_state(stack))
+    e_tail[eid], e_head[eid] = e_head[eid], e_tail[eid]
+    assert audit_state(stack) == []
+    # a copy count left on an entry of a deleted, freed pair
+    u, v = next(iter(engine.edges()))
+    eid = next(e for w in (u, v) for e in engine.out_entries(w)
+               if {e_tail[e], e_head[e]} == {u, v})
+    stack.delete(u, v)
+    assert audit_state(stack) == []
+    engine.e_cnt[eid] += 1
+    assert any("freed pair id" in line for line in audit_state(stack))
+    engine.e_cnt[eid] -= 1
+    assert audit_state(stack) == []
 
 
 def test_audit_after_fuzz_per_preset(any_preset_cfg):

@@ -291,9 +291,15 @@ def test_rejected_update_changes_nothing(op, u, v, exc):
     stack.attach_matvec()
     for e in ((0, 1), (1, 2), (2, 3), (3, 0)):
         stack.insert(*e)
-    before = (hasher.digest, hasher.count, sorted(stack.engine.edges()))
+    engine = stack.engine
+
+    def snapshot():
+        # No pair id or entry is allocated or freed by a rejected update.
+        return (hasher.digest, hasher.count, sorted(engine.edges()),
+                len(engine.e_tail), dict(engine.pairs), list(engine._p_free))
+
+    before = snapshot()
     with pytest.raises(exc):
         getattr(stack, op)(u, v)
     assert audit_state(stack) == []
-    assert (hasher.digest, hasher.count,
-            sorted(stack.engine.edges())) == before
+    assert snapshot() == before
