@@ -10,6 +10,7 @@ optimisation that saves re-keys, or a deliberate behaviour change, re-pins
 what it moves and says why.
 """
 
+import csv
 import hashlib
 import io
 import random
@@ -152,6 +153,37 @@ def test_golden_event_log(preset):
     text = log.getvalue()
     assert (hashlib.sha256(text.encode()).hexdigest()[:16],
             text.count("\n")) == EVENT_LOG_GOLDEN[preset]
+
+
+# The per-op CSV that ``replay`` writes for the pinned ``random`` workload,
+# with the ``wall_nanos`` column blanked: SHA-256 prefix of the re-written
+# CSV and the number of data rows.  Pins the columns and every per-op
+# counter in them, which the digests above see only as totals.
+CSV_GOLDEN = {
+    "simple-additive": ("44b01f7d6fff49aa", 1500),
+    "simple-multiplicative": ("be298b7546d46774", 1500),
+    "fast-additive": ("4edd424ceee05624", 1500),
+    "fast-multiplicative": ("23a660617f8c716e", 1500),
+    "eps-density": ("c483b415d178a1a1", 1500),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(BUILDERS))
+def test_golden_replay_csv(preset):
+    n, ops = parse_workload(generate("random", N, STEPS, seed=SEED,
+                                     max_edges=2 * N))
+    out = io.StringIO()
+    replay(n, ops, BUILDERS[preset](n), csv_out=out)
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    wall = rows[0].index("wall_nanos")
+    assert all(int(row[wall]) > 0
+               for row in rows[1:] if row[1] in ("+", "-"))
+    for row in rows[1:]:
+        row[wall] = ""
+    blanked = io.StringIO()
+    csv.writer(blanked).writerows(rows)
+    assert (hashlib.sha256(blanked.getvalue().encode()).hexdigest()[:16],
+            len(rows) - 1) == CSV_GOLDEN[preset]
 
 
 # Dense churn on the exact engine (6n edge cap, twice the steps): many
