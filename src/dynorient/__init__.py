@@ -13,7 +13,6 @@ from .applications import (
     MatVecProduct,
     MaximalMatching,
 )
-from .basic import BasicEngine
 from .config import (
     PRESET_EPS_DENSITY,
     PRESET_FAST_ADDITIVE,
@@ -34,15 +33,14 @@ from .errors import (
     WorkloadError,
 )
 from .events import EventHasher, EventRecorder, OrientationEvent
-from .fast import FastEngine
 from .rounding import OrientationListener, RoundedOrientation
 from .stack import OrientationStack
+from .state import OrientationEngine
 
 __all__ = [
     "OrientationConfig",
     "OrientationStack",
-    "BasicEngine",
-    "FastEngine",
+    "OrientationEngine",
     "RoundedOrientation",
     "OrientationListener",
     "DensityTracker",

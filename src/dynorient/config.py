@@ -1,6 +1,6 @@
 """Engine configuration: tunables, named presets, and exact guard arithmetic.
 
-Every runtime comparison the engines make is integer arithmetic derived from
+Every runtime comparison the engine makes is integer arithmetic derived from
 the slack ratio eta/b, which is stored as an exact ``Fraction``.  Presets whose
 published formulas involve ln N rationalize it once at construction; after
 that nothing in the package touches floating point on a decision path.
@@ -50,7 +50,7 @@ PRESETS = (
     PRESET_EPS_DENSITY,
 )
 
-#: Presets driven by the basic (exact-degree) engine.
+#: Presets that run the engine in exact-degree mode.
 BASIC_PRESETS = (PRESET_SIMPLE_ADDITIVE, PRESET_SIMPLE_MULTIPLICATIVE)
 
 
@@ -141,14 +141,14 @@ class OrientationConfig:
         p, q = slack.numerator, slack.denominator
         self.rr_width = -((-128 * q) // p)
 
-        # Integer guard constants.  The basic engines test
+        # Integer guard constants.  Exact-degree mode tests
         #   d(u)+1 > (1 + eta/b) * d(x) + 2*theta
         # which with slack = p/q becomes
         #   (d(u)+1)*q > (q+p)*d(x) + 2*theta*q.
         self._g_lhs = q
         self._g_rhs = q + p
         self._g_add = 2 * theta * q
-        # The fast engines use half the slack and a +theta term:
+        # Perceived-degree mode uses half the slack and a +theta term:
         #   (d(u)+1)*2q > (2q+p)*d(x) + theta*2q.
         self._f_lhs = 2 * q
         self._f_rhs = 2 * q + p
@@ -166,7 +166,7 @@ class OrientationConfig:
         return d_tail * self._g_lhs <= self._g_rhs * d_head + self._g_add
 
     # ------------------------------------------------------------------
-    # Geometric bucketing (fast mode only).
+    # Geometric bucketing (perceived-degree mode only).
     # ------------------------------------------------------------------
 
     def bucket_thresholds(self) -> list:

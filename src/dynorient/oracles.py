@@ -1,4 +1,4 @@
-"""Exact ground truth at desk scale for everything the engines approximate.
+"""Exact ground truth at desk scale for everything the package approximates.
 
 * ``exact_density``: maximum over nonempty S of |E[S]|/|S| by Dinkelbach /
   Goldberg iteration on an integral max-flow network (source -> edge nodes

@@ -10,11 +10,10 @@ from .applications import (
     MatVecProduct,
     MaximalMatching,
 )
-from .basic import BasicEngine
 from .config import OrientationConfig
 from .density import DensityReport, DensityTracker
-from .fast import FastEngine
 from .rounding import RoundedOrientation
+from .state import OrientationEngine
 
 
 class OrientationStack:
@@ -28,8 +27,7 @@ class OrientationStack:
     def __init__(self, cfg: OrientationConfig, recorder=None,
                  audit_hooks: bool = False):
         self.cfg = cfg
-        engine_cls = FastEngine if cfg.is_fast() else BasicEngine
-        self.engine = engine_cls(cfg)
+        self.engine = OrientationEngine(cfg)
         self.engine.audit_hooks = audit_hooks
         self.rounding = RoundedOrientation(cfg.capacity)
         # One object takes the degree stream and answers the density

@@ -1,4 +1,4 @@
-"""Shared multigraph state and the engine core both orientation engines build on.
+"""The orientation engine: multigraph state and the flip chains of both modes.
 
 The maintained object is an orientation of G^b, the input graph with every
 edge duplicated b times.  Copies between the same ordered vertex pair are
@@ -18,10 +18,46 @@ empty one is in neither:
   the top, and a re-key walks from the entry's current bucket, which a
   refresh moves across O(1) buckets.
 
+Insertion routes each new copy and, while the chain head would violate the
+invariant against the out-neighbor its scan picks, flips that copy and
+carries the +1 onward; deletion walks toward the in-neighbor with the
+largest recorded degree, read off the bucket heads.  The exact-degree and
+the perceived-degree mode share these chains and differ in four places,
+all fixed when the engine is built:
+
+* The insert scan.  Exact mode takes the argmin of d+ over the whole ring
+  (first hit in ring order wins ties).  Perceived mode scans at most the
+  window from the round-robin cursor and flips at the first violation it
+  sees, checked against *exact* degrees; every entry it passes over learns
+  the head's degree.
+* The refresh window.  A committed degree change is told to the next
+  ``window`` out-neighbors from the cursor.  In exact mode the window is n,
+  so no ring outgrows it and every out-neighbor hears of each change.  In
+  perceived mode it is rr_width = ceil(128/(eta/b)); once a ring is longer,
+  the out-neighbors outside the window keep a stale *perceived* value.
+* The bucket key.  Exact mode keys an in-entry by its recorded degree
+  itself.  Perceived mode keys it geometrically: perceived degree p sits in
+  bucket j iff (1 + slack/64)^j <= p < (1 + slack/64)^(j+1), so a refresh
+  moves it by O(1) buckets.  Deletion reads its flip candidate and its
+  guard from these recorded values in both modes.
+* The guard.  Exact mode flips on the invariant itself.  Perceived mode
+  uses half the slack and +theta instead of +2*theta; the slack budget left
+  over absorbs the staleness, so the terminal invariant with the full slack
+  and +2*theta still holds at update boundaries.  Audit builds check the
+  staleness lemmas behind this after each commit.
+
+In both modes a flip happens only when it strictly advances the chain
+(insert: toward a smaller exact degree, delete: toward a larger one).  The
+guards already imply this whenever every non-isolated vertex holds its
+steady-state share of copies; the explicit check suppresses flip ping-pong
+in the brief low-degree windows while an edge's b copies are being placed
+or drained, where no orientation can satisfy the multiplicative invariant
+at all.  Suppressions are counted.
+
 An update may defer its ring refreshes to its end, so a recorded degree can
 lag inside it.  A deletion only commits -1s, so there it lags upward, and
 the one entry a deletion chain reads, the top of a head's in-buckets, is
-re-keyed when stale; see ``EngineCore._delete_chain``.
+re-keyed when stale; see ``OrientationEngine._delete_chain``.
 
 Everything is flat parallel lists indexed by small integer ids; these are the
 hottest loops in the package.
@@ -42,52 +78,54 @@ from .errors import (
 )
 
 
-class EngineCore:
-    """State plus the update drivers shared by the basic and fast engines.
+class OrientationEngine:
+    """The orientation of G^b under simple-edge inserts and deletes.
 
-    The core runs both flip chains: after a copy is added, ``_insert_chain``
-    flips toward the out-neighbor that the engine's ``_scan`` picks until
-    the scan finds none; after a copy is removed, ``_delete_chain`` flips
-    toward the in-neighbor with the largest recorded degree while the guard
-    holds.  Flips go through ``_flip_copy``, the final ±1 through
-    ``_commit`` and the ring update through ``_refresh``.  An insert or a
-    delete defers the refreshes to its end (``pending``, flushed by
-    ``_flush``) while every ring fits in the window, which is always in
-    exact mode; a delete chain re-keys the one stale entry it reads.
-    Subclasses provide only ``_scan`` and, for audit builds, the
-    ``_audit_post_*`` hooks run after each commit.  The core also owns the
-    pair registry (a pair id p names entries 2p and 2p+1; no other module
-    relies on that layout), the ring/bucket mechanics and the bucket key
-    (exact degree, or its geometric index in fast mode), event emission,
-    and the per-update counters.
+    After a copy is added, ``_insert_chain`` flips toward the out-neighbor
+    that ``_scan`` picks until the scan finds none; after a copy is removed,
+    ``_delete_chain`` flips toward the in-neighbor with the largest recorded
+    degree while the guard holds.  Flips go through ``_flip_copy``, the
+    final ±1 through ``_commit`` and the ring update through ``_refresh``.
+    An insert or a delete defers the refreshes to its end (``pending``,
+    flushed by ``_flush``) while every ring fits in the window, which is
+    always in exact mode; a delete chain re-keys the one stale entry it
+    reads.  ``cfg.is_fast()`` picks the mode once, here: the scan, the
+    window, the bucket key (exact degree, or its geometric index) and the
+    guard.  The engine also owns the pair registry (a pair id p names
+    entries 2p and 2p+1; no other module relies on that layout), the
+    ring/bucket mechanics, event emission, the per-update counters and, for
+    audit builds, the audits run after each flip and each commit.
+
+    An exception that escapes an update once it has started to change state
+    marks the engine ``broken``; every later update then raises
+    ``CorruptionError`` without touching anything.
     """
-
-    #: True when in-buckets are keyed by the geometric index of a perceived
-    #: degree; False when keyed by the exact out-degree itself.
-    fast_mode = False
 
     def __init__(self, cfg: OrientationConfig):
         n = cfg.capacity
         self.cfg = cfg
         self.n = n
         self.b = cfg.b
-        # Sorted geometric bucket boundaries in fast mode, None when buckets
-        # are keyed by the exact degree; see _bucket_key.
-        self.thresholds = cfg.bucket_thresholds() if self.fast_mode else None
+        # True in perceived-degree mode, False in exact-degree mode.
+        self.fast_mode = fast = cfg.is_fast()
+        self._scan = self._scan_window if fast else self._scan_argmin
+        # Sorted geometric bucket boundaries in perceived mode, None when
+        # buckets are keyed by the exact degree; see _bucket_key.
+        self.thresholds = cfg.bucket_thresholds() if fast else None
         # Flip guard (lhs, rhs, add): flip when d * lhs > rhs * d' + add.
-        # The fast engine uses half the slack and theta; see fast.py.
-        if self.fast_mode:
+        # Perceived mode uses half the slack and theta.
+        if fast:
             self.guard = (cfg._f_lhs, cfg._f_rhs, cfg._f_add)
         else:
             self.guard = (cfg._g_lhs, cfg._g_rhs, cfg._g_add)
         # Round-robin width of a committed degree change; no ring outgrows
         # n, so in exact mode every out-neighbor hears of it.
-        self.window = cfg.rr_width if self.fast_mode else n
+        self.window = cfg.rr_width if fast else n
         # Rings longer than the window; always 0 in exact mode.
         self.long_rings = 0
         # Inside an update that defers its refreshes (see insert and
-        # delete): vertex -> out-degree to announce, in last-commit order.
-        # None otherwise.
+        # delete): the vertices whose rings are to be refreshed, as dict
+        # keys in last-commit order.  None otherwise.
         self.pending = None
         # Audit builds: (post-commit hook, vertex) of each deferred commit,
         # run at the flush.
@@ -129,6 +167,10 @@ class EngineCore:
         self.degree_listener = None
         self.recorder = None
 
+        # (op index, repr of the exception) of the update that raised after
+        # it started to change state; None while the engine is sound.
+        self.broken = None
+
         # Per-update and cumulative instrumentation.
         self.updates = 0
         self.last_copy_flips = 0
@@ -152,17 +194,19 @@ class EngineCore:
         ring of each vertex that committed is refreshed once, after the last
         copy; see ``_insert_chain`` and ``_flush``.  Otherwise every commit
         refreshes at once.  ``delete`` defers under the same rule."""
+        if self.broken is not None:
+            self._raise_broken()
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
         key = a * self.n + c
         if key in self.pairs:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        pid = self._pair_alloc(a, c)
-        self._reset_op_counters()
-        out_deg = self.out_deg
-        rec = self.recorder
-        self.pending = None if self.long_rings else {}
         try:
+            pid = self._pair_alloc(a, c)
+            self._reset_op_counters()
+            out_deg = self.out_deg
+            rec = self.recorder
+            self.pending = None if self.long_rings else {}
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] <= out_deg[v] else (v, u)
                 self._add_copy(2 * pid + (t != a))
@@ -171,19 +215,17 @@ class EngineCore:
                 self._insert_chain(t)
             if self.pending is not None:
                 self._flush()
-        finally:
-            # The next update must never see a deferral this one left behind.
-            self.pending = None
-            if self.audit_hooks:
-                self._audits_due.clear()
-        self.m_simple += 1
-        self.updates += 1
-        if rec is not None:
-            rec.emit(ev.SIMPLE_INSERTED, a, c)
-        if self.rounding is not None:
-            e = 2 * pid
-            self.rounding.simple_inserted(a, c, self.e_cnt[e],
-                                          self.e_cnt[e + 1])
+            self.m_simple += 1
+            if rec is not None:
+                rec.emit(ev.SIMPLE_INSERTED, a, c)
+            if self.rounding is not None:
+                e = 2 * pid
+                self.rounding.simple_inserted(a, c, self.e_cnt[e],
+                                              self.e_cnt[e + 1])
+            self.updates += 1
+        except BaseException as exc:
+            self._break(exc)
+            raise
 
     def delete(self, u: int, v: int) -> None:
         """Delete simple edge {u, v}: drain its b copies one at a time,
@@ -199,6 +241,8 @@ class EngineCore:
         it reads; see ``_delete_chain``.  A flip that pushes a ring past the
         window flushes and ends the deferral mid-delete.
         """
+        if self.broken is not None:
+            self._raise_broken()
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
         key = a * self.n + c
@@ -207,14 +251,14 @@ class EngineCore:
             raise MissingEdgeError(f"edge ({u}, {v}) not present")
         self._reset_op_counters()
         rec = self.recorder
-        if rec is not None:
-            rec.emit(ev.SIMPLE_DELETED, a, c)
-        if self.rounding is not None:
-            self.rounding.simple_deleted(a, c)
-        out_deg = self.out_deg
-        e_cnt = self.e_cnt
-        self.pending = None if self.long_rings else {}
         try:
+            if rec is not None:
+                rec.emit(ev.SIMPLE_DELETED, a, c)
+            if self.rounding is not None:
+                self.rounding.simple_deleted(a, c)
+            out_deg = self.out_deg
+            e_cnt = self.e_cnt
+            self.pending = None if self.long_rings else {}
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] >= out_deg[v] else (v, u)
                 ent = 2 * pid + (t != a)
@@ -229,16 +273,29 @@ class EngineCore:
                 self._delete_chain(t)
             if self.pending is not None:
                 self._flush()
-        finally:
-            self.pending = None
-            if self.audit_hooks:
-                self._audits_due.clear()
-        if e_cnt[2 * pid] or e_cnt[2 * pid + 1]:
-            raise CorruptionError("copies survived a simple-edge drain")
-        del self.pairs[key]
-        self._p_free.append(pid)
-        self.m_simple -= 1
-        self.updates += 1
+            if e_cnt[2 * pid] or e_cnt[2 * pid + 1]:
+                raise CorruptionError("copies survived a simple-edge drain")
+            del self.pairs[key]
+            self._p_free.append(pid)
+            self.m_simple -= 1
+            self.updates += 1
+        except BaseException as exc:
+            self._break(exc)
+            raise
+
+    def _break(self, exc: BaseException) -> None:
+        """Mark the engine broken by the update now running, which raised
+        ``exc`` after it started to change state, and drop the deferral it
+        leaves behind; it is not rolled back."""
+        self.broken = (self.updates, repr(exc))
+        self.pending = None
+        self._audits_due.clear()
+
+    def _raise_broken(self) -> None:
+        op, exc = self.broken
+        raise CorruptionError(
+            f"op {op} raised {exc} part-way; the engine is inconsistent "
+            "and takes no further updates")
 
     def has_edge(self, u: int, v: int) -> bool:
         a, c = (u, v) if u < v else (v, u)
@@ -570,8 +627,9 @@ class EngineCore:
         """Set u's out-degree to d and announce it to the degree listener
         and the recorder.  Without ``pending`` the out-neighbors hear of it
         at once through ``_refresh``, and audit builds then run
-        ``audit(u)``.  With it, u moves to the end of ``pending`` with its
-        new degree, and ``_flush`` refreshes its ring and runs the audit."""
+        ``audit(u)``.  With it, u moves to the end of ``pending``, and
+        ``_flush`` refreshes its ring and runs the audit.  Only commits
+        change ``out_deg``, so the flush reads u's latest degree there."""
         self.out_deg[u] = d
         dl = self.degree_listener
         if dl is not None:
@@ -581,22 +639,23 @@ class EngineCore:
             rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
         pending = self.pending
         if pending is None:
-            self._refresh(u, d)
+            self._refresh(u)
             if self.audit_hooks:
                 audit(u)
         else:
             pending.pop(u, None)
-            pending[u] = d
+            pending[u] = None
             if self.audit_hooks:
                 self._audits_due.append((audit, u))
 
-    def _refresh(self, u: int, d: int) -> None:
+    def _refresh(self, u: int) -> None:
         """Tell the next ``window`` out-neighbors of u, from its cursor,
-        that u's out-degree is d, leaving the cursor after the last one told.
+        u's out-degree d, leaving the cursor after the last one told.
 
         The bucket key of d is computed once; only entries whose recorded
         degree differs are moved, each through ``self.move_bucket``.
         """
+        d = self.out_deg[u]
         k = self.out_sz[u]
         if self.window < k:
             k = self.window
@@ -620,8 +679,8 @@ class EngineCore:
         not moved again."""
         pending = self.pending
         self.pending = None
-        for w, d in pending.items():
-            self._refresh(w, d)
+        for w in pending:
+            self._refresh(w)
         if self.audit_hooks:
             for audit, w in self._audits_due:
                 audit(w)
@@ -714,10 +773,66 @@ class EngineCore:
             self.last_chain = chain
         self._commit(u, out_deg[u] - 1, self._audit_post_decrement)
 
-    def _scan(self, t: int, dt: int) -> int:
-        """Entry of the out-neighbor the chain at t (out-degree dt, before
-        the +1) flips toward next, or -1 to commit at t."""
-        raise NotImplementedError
+    # ``_scan(t, dt)``, bound to one of the two below in ``__init__``:
+    # the entry of the out-neighbor the chain at t (out-degree dt, before
+    # the +1) flips toward next, or -1 to commit at t.
+
+    def _scan_argmin(self, t: int, dt: int) -> int:
+        # Exact mode: x <- argmin d+ over N+(t); first hit in ring order
+        # wins ties.
+        out_deg = self.out_deg
+        e_head = self.e_head
+        rn_next = self.rn_next
+        sz = self.out_sz[t]
+        best = -1
+        best_d = 0
+        e = self.cursor[t]
+        for _ in range(sz):
+            d = out_deg[e_head[e]]
+            if best < 0 or d < best_d:
+                best = e
+                best_d = d
+            e = rn_next[e]
+        self.last_scan += sz
+        lhs, rhs, add = self.guard
+        if best >= 0 and (dt + 1) * lhs > rhs * best_d + add:
+            if best_d < dt:
+                return best
+            self.last_suppressed += 1
+            self.total_suppressed += 1
+        return -1
+
+    def _scan_window(self, t: int, dt: int) -> int:
+        # Perceived mode: first violation within the window from the cursor,
+        # checked against exact degrees; every entry passed over learns t's
+        # degree, unless t waits for the flush, which re-keys its whole ring.
+        pending = self.pending
+        rekey = pending is None or t not in pending
+        lhs, rhs, add = self.guard
+        lhs *= dt + 1
+        out_deg = self.out_deg
+        e_head = self.e_head
+        e_perc = self.e_perc
+        rn_next = self.rn_next
+        k = self.out_sz[t]
+        if self.window < k:
+            k = self.window
+        self.last_scan += k
+        e = self.cursor[t]
+        for _ in range(k):
+            nxt = rn_next[e]
+            dx = out_deg[e_head[e]]
+            if lhs > rhs * dx + add:
+                if dx < dt:
+                    self.cursor[t] = nxt
+                    return e
+                self.last_suppressed += 1
+                self.total_suppressed += 1
+            if rekey and e_perc[e] != dt:
+                self.move_bucket(e, dt)
+            e = nxt
+        self.cursor[t] = e
+        return -1
 
     # ------------------------------------------------------------------
     # Pair registry plumbing.
@@ -787,8 +902,12 @@ class EngineCore:
         return bad
 
     def structural_violations(self) -> list[str]:
-        """Recompute every structural invariant of the state from scratch."""
+        """Recompute every structural invariant of the state from scratch;
+        a broken engine names the update that broke it first."""
         bad = []
+        if self.broken is not None:
+            op, exc = self.broken
+            bad.append(f"op {op} raised {exc} part-way; state not rolled back")
         n = self.n
         e_tail, e_head, e_cnt = self.e_tail, self.e_head, self.e_cnt
         # Degrees from the pair registry; entries holding copies are live.
@@ -901,9 +1020,9 @@ class EngineCore:
             bad.append("some live entries are missing from buckets")
         # At update boundaries recorded degrees are exact whenever the ring
         # fits in the refresh window: always in exact mode (window n), up to
-        # rr_width in fast.  Inside an update that defers its refreshes they
-        # lag until the flush, or in a delete until a chain reads the entry;
-        # see _insert_chain and _delete_chain.
+        # rr_width in perceived mode.  Inside an update that defers its
+        # refreshes they lag until the flush, or in a delete until a chain
+        # reads the entry; see _insert_chain and _delete_chain.
         for eid in seen_entries:
             t = self.e_tail[eid]
             if self.out_sz[t] <= self.window:
@@ -927,9 +1046,37 @@ class EngineCore:
                 f"critical inequality failed on flip {t}->{h}: "
                 f"{lhs} <= {rhs}")
 
+    # Staleness lemma hooks, run after each commit in audit builds.  They
+    # check perceived mode only: under the exact guard the lemmas do not
+    # hold.  Skipped on updates where a transient flip suppression fired:
+    # the lemmas' preconditions assume the steady-state degree floor that
+    # those windows lack.
+
     def _audit_post_increment(self, u: int) -> None:
-        """Audit after a committed +1 at u; the fast engine checks its
-        staleness lemma here."""
+        if not self.fast_mode or self.last_suppressed:
+            return
+        s = self.cfg.slack
+        theta = self.cfg.theta
+        du = self.out_deg[u]
+        for e in self.out_entries(u):
+            p = self.e_perc[e]
+            if not du < p + p * (s / 64) + theta:
+                raise CorruptionError(
+                    f"post-increment staleness bound failed at {u}: "
+                    f"d+={du}, recorded {p}")
+            v = self.e_head[e]
+            if not self.cfg.invariant_ok(du, self.out_deg[v]):
+                raise CorruptionError(
+                    f"post-increment invariant failed on {u}->{v}")
 
     def _audit_post_decrement(self, v: int) -> None:
-        """Audit after a committed -1 at v; see ``_audit_post_increment``."""
+        if not self.fast_mode or self.last_suppressed:
+            return
+        s = self.cfg.slack
+        theta = self.cfg.theta
+        bound = (1 + 3 * s / 4) * self.out_deg[v] + theta
+        for e in self.in_entries(v):
+            if not self.e_perc[e] <= bound:
+                raise CorruptionError(
+                    f"post-decrement perceived bound failed at {v}: "
+                    f"recorded {self.e_perc[e]} > {bound}")

@@ -1,4 +1,4 @@
-"""Exact-degree engine: spec examples, invariant audits, chain behavior."""
+"""Exact-degree mode: spec examples, invariant audits, chain behavior."""
 
 import itertools
 import math

@@ -1,7 +1,7 @@
-"""Perceived-degree engine: staleness lemma hooks, floors, terminal audits.
+"""Perceived-degree mode: staleness lemma hooks, floors, terminal audits.
 
-The deferral and audit-contract tests also run the exact presets, which share
-the engine core's update path.
+The deferral, fail-stop and audit-contract tests also run the exact presets,
+which share the engine's update path.
 """
 
 from types import SimpleNamespace
@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from dynorient import (
+    CorruptionError,
     EventRecorder,
     OrientationConfig,
     OrientationStack,
@@ -16,6 +17,27 @@ from dynorient import (
 from dynorient.oracles import audit_state
 
 from conftest import Fuzzer
+
+
+def _absent_pair(stack, n):
+    return next((u, v) for u in range(n) for v in range(u + 1, n)
+                if not stack.has_edge(u, v))
+
+
+def _assert_fail_stop(stack, op):
+    # The raising update is not rolled back: every later update is refused,
+    # naming the op that broke the engine, and the audit reports it first.
+    engine = stack.engine
+    assert engine.broken[0] == op
+    u, v = _absent_pair(stack, engine.n)
+    with pytest.raises(CorruptionError, match=f"op {op} raised RuntimeError"):
+        stack.insert(u, v)
+    with pytest.raises(CorruptionError, match=f"op {op} raised"):
+        stack.delete(*next(engine.edges()))
+    assert not stack.has_edge(u, v)
+    assert engine.updates == op
+    bad = audit_state(stack)
+    assert bad and bad[0].startswith(f"op {op} raised RuntimeError")
 
 
 def test_isolated_tail_takes_increment_path():
@@ -120,8 +142,8 @@ def test_deletion_candidate_sits_in_the_maximal_bucket():
 
 
 def test_insert_that_raises_leaves_no_deferral_behind():
-    # A later delete must re-key and refresh as usual, whatever the insert
-    # before it did.
+    # An insert that fails partway leaves no deferral behind, and the
+    # engine refuses every later update.
     stack = OrientationStack(OrientationConfig.fast_multiplicative(16),
                              audit_hooks=True)
     Fuzzer(stack, seed=5).run(40)
@@ -135,19 +157,20 @@ def test_insert_that_raises_leaves_no_deferral_behind():
             raise RuntimeError("listener failed")
 
     engine.degree_listener = SimpleNamespace(degree_changed=failing)
-    u, v = next((u, v) for u in range(16) for v in range(u + 1, 16)
-                if not stack.has_edge(u, v))
+    op = engine.updates
     with pytest.raises(RuntimeError):
-        stack.insert(u, v)
+        stack.insert(*_absent_pair(stack, 16))
     assert engine.pending is None
     assert engine._audits_due == []
+    _assert_fail_stop(stack, op)
 
 
 @pytest.mark.parametrize("preset",
                          ["simple-multiplicative", "fast-multiplicative"])
 def test_delete_that_raises_leaves_no_deferral_behind(preset):
-    # Both engines defer a delete's refreshes as they do an insert's; a
-    # delete that fails partway must not leave that deferral behind.
+    # Both modes defer a delete's refreshes as they do an insert's; a
+    # delete that fails partway leaves no deferral behind, and the engine
+    # refuses every later update.
     stack = OrientationStack(OrientationConfig.from_preset(preset, 16),
                              audit_hooks=True)
     fz = Fuzzer(stack, seed=5)
@@ -162,19 +185,21 @@ def test_delete_that_raises_leaves_no_deferral_behind(preset):
             raise RuntimeError("listener failed")
 
     engine.degree_listener = SimpleNamespace(degree_changed=failing)
+    op = engine.updates
     with pytest.raises(RuntimeError):
         stack.delete(*sorted(fz.live_set)[0])
     assert engine.pending is None
     assert engine._audits_due == []
+    _assert_fail_stop(stack, op)
 
 
 @pytest.mark.parametrize("preset", ["simple-additive", "simple-multiplicative",
                                     "fast-additive", "fast-multiplicative"])
 def test_every_committed_step_is_audited(preset):
     # Each simple insert or delete commits b unit degree changes; in an
-    # audit build every one of them runs its post-commit hook (the fast
-    # engine's staleness lemmas; a no-op in the exact engine), deferred or
-    # not.
+    # audit build every one of them runs its post-commit hook (the
+    # staleness lemmas in perceived mode; they return at once in exact
+    # mode), deferred or not.
     stack = OrientationStack(OrientationConfig.from_preset(preset, 32),
                              audit_hooks=True)
     engine = stack.engine

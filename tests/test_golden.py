@@ -186,7 +186,7 @@ def test_golden_replay_csv(preset):
             len(rows) - 1) == CSV_GOLDEN[preset]
 
 
-# Dense churn on the exact engine (6n edge cap, twice the steps): many
+# Dense churn in exact-degree mode (6n edge cap, twice the steps): many
 # inserts re-commit a vertex after another vertex committed, so the order in
 # which an insert refreshes rings shows in the bucket sibling order, and
 # through it in which in-neighbour each later deletion flips toward.

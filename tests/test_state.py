@@ -303,3 +303,5 @@ def test_rejected_update_changes_nothing(op, u, v, exc):
         getattr(stack, op)(u, v)
     assert audit_state(stack) == []
     assert snapshot() == before
+    # A rejected update touched nothing, so the engine is not broken.
+    assert engine.broken is None
