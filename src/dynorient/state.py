@@ -108,7 +108,11 @@ class OrientationEngine:
         self.b = cfg.b
         # True in perceived-degree mode, False in exact-degree mode.
         self.fast_mode = fast = cfg.is_fast()
-        self._scan = self._scan_window if fast else self._scan_argmin
+        # The insert scan of this mode as a plain function, called with the
+        # engine: a bound method kept on the engine would be a reference
+        # cycle, and a dropped engine would wait for the cyclic collector.
+        self._scan = (OrientationEngine._scan_window if fast
+                      else OrientationEngine._scan_argmin)
         # Sorted geometric bucket boundaries in perceived mode, None when
         # buckets are keyed by the exact degree; see _bucket_key.
         self.thresholds = cfg.bucket_thresholds() if fast else None
@@ -650,7 +654,8 @@ class OrientationEngine:
 
     def _refresh(self, u: int) -> None:
         """Tell the next ``window`` out-neighbors of u, from its cursor,
-        u's out-degree d, leaving the cursor after the last one told.
+        u's current out-degree d, leaving the cursor after the last one
+        told.
 
         The bucket key of d is computed once; only entries whose recorded
         degree differs are moved, each through ``self.move_bucket``.
@@ -718,12 +723,12 @@ class OrientationEngine:
         e_head = self.e_head
         scan = self._scan
         chain = 0
-        e = scan(t, out_deg[t])
+        e = scan(self, t, out_deg[t])
         while e >= 0:
             t = e_head[e]
             self._flip_copy(e)
             chain += 1
-            e = scan(t, out_deg[t])
+            e = scan(self, t, out_deg[t])
         if chain > self.last_chain:
             self.last_chain = chain
         self._commit(t, out_deg[t] + 1, self._audit_post_increment)
@@ -773,7 +778,7 @@ class OrientationEngine:
             self.last_chain = chain
         self._commit(u, out_deg[u] - 1, self._audit_post_decrement)
 
-    # ``_scan(t, dt)``, bound to one of the two below in ``__init__``:
+    # ``_scan(self, t, dt)``, one of the two below, picked in ``__init__``:
     # the entry of the out-neighbor the chain at t (out-degree dt, before
     # the +1) flips toward next, or -1 to commit at t.
 
