@@ -5,8 +5,18 @@
   -> endpoints -> sink, capacities scaled by the guess's denominator, so
   every comparison is exact).  The min cut at guess g is a set S
   maximising |E[S]| - g|S|; its density is the next guess, strictly
-  larger.  The loop stops when the flow saturates, which proves no set is
-  denser than the guess (Hakimi), while the last S reaches it.
+  larger.  The first guess is not 0 but the densest set that a greedy
+  peel of the edge list leaves behind (Charikar), which is often optimal
+  already, so most calls run a single flow.  Each flow at guess g runs on
+  the g-core only, the edges that survive repeated removal of vertices of
+  degree < g.  Lemma: every maximiser S of |E[S]| - g|S| lies in the
+  g-core, since dropping a vertex of induced degree d < g from S would
+  raise the objective by g - d > 0.  So the loop still stops only on a
+  saturating flow, and that flow still certifies the guess: it shows
+  |E[S]| <= g|S| for every S inside the core, hence by the lemma for every
+  S, so no set is denser than g (Hakimi), while the witness (the peel's
+  set or the last cut's S) reaches g.  The peel reads only the edge list,
+  so the oracle stays independent of the structures it checks.
 * ``exact_min_max_outdegree``: least k admitting an orientation with all
   out-degrees <= k, by the same loop on integers (next k = ceil of the
   cut set's density); the saturated flow at the final k is the witness
@@ -118,6 +128,41 @@ def _denser_set(n: int, edges, g: Fraction):
     return net, [v for v in range(n) if (1 + m + v) in side]
 
 
+def _peel(n: int, edges):
+    """Greedy peel (Charikar): repeatedly drop a vertex of least degree.
+
+    Returns (density, vertices, core) for the densest set the peel leaves
+    behind, compared exactly, with core[v] the core number of v: the
+    largest least degree seen up to v's removal.  The k-core, the largest
+    set whose induced degrees are all >= k, is {v : core[v] >= k}.
+    """
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = [len(a) for a in adj]
+    alive = set(range(n))
+    core = [0] * n
+    order = []
+    m_left = len(edges)
+    best_m, best_k, best_at = m_left, n, 0
+    k = 0
+    while alive:
+        v = min(alive, key=deg.__getitem__)
+        if deg[v] > k:
+            k = deg[v]
+        core[v] = k
+        alive.remove(v)
+        order.append(v)
+        m_left -= deg[v]
+        for w in adj[v]:
+            if w in alive:
+                deg[w] -= 1
+        if m_left * best_k > best_m * len(alive):
+            best_m, best_k, best_at = m_left, len(alive), len(order)
+    return Fraction(best_m, best_k), sorted(order[best_at:]), core
+
+
 def exact_density(n: int, edges, limit: int = FLOW_LIMIT_DEFAULT):
     """Maximum subgraph density with a witness set.
 
@@ -129,11 +174,17 @@ def exact_density(n: int, edges, limit: int = FLOW_LIMIT_DEFAULT):
         raise OracleLimitError(
             f"flow density oracle capped at n <= {limit}, got {n}")
     edges = list(edges)
-    rho, witness = Fraction(0), []
-    while (found := _denser_set(n, edges, rho)[1]) is not None:
+    if not edges:
+        return Fraction(0), []
+    rho, witness, core = _peel(n, edges)
+    while True:
+        k = math.ceil(rho)
+        in_core = [e for e in edges if core[e[0]] >= k and core[e[1]] >= k]
+        found = _denser_set(n, in_core, rho)[1]
+        if found is None:
+            return rho, witness
         witness = found
         rho = subgraph_density(witness, edges)
-    return rho, witness
 
 
 def subgraph_density(vertices, edges) -> Fraction:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynorient import OracleLimitError, OrientationConfig, OrientationStack
+from dynorient import OracleLimitError, oracles, OrientationConfig, OrientationStack
 from dynorient.oracles import (
     audit_state,
     exact_arboricity,
@@ -25,6 +25,20 @@ def _random_graph(rng, n, m_target):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return sorted(edges)
+
+
+def _record_flows(monkeypatch):
+    """Patch the oracle's one max-flow step; returns the list of edge lists
+    it is called on."""
+    flows = []
+    real = oracles._denser_set
+
+    def counted(n, edges, g):
+        flows.append(list(edges))
+        return real(n, edges, g)
+
+    monkeypatch.setattr(oracles, "_denser_set", counted)
+    return flows
 
 
 class TestExactDensity:
@@ -48,14 +62,41 @@ class TestExactDensity:
         assert rho == 1
         assert witness == [1, 3, 5]
 
-    def test_two_k4s_plus_pendant_path(self):
-        # Two disjoint K4s tie at 3/2; the pendant path only dilutes.
+    def test_two_k4s_plus_pendant_path(self, monkeypatch):
+        # Two disjoint K4s tie at 3/2; the pendant path only dilutes.  The
+        # peel finds 3/2 and one saturating flow certifies it.
         edges = (clique_edges(4) + [(u + 4, v + 4) for u, v in clique_edges(4)]
                  + path_edges(7, 11))
+        flows = _record_flows(monkeypatch)
         rho, witness = exact_density(11, edges)
+        assert len(flows) == 1
         assert rho == Fraction(3, 2) == exact_density_enum(11, edges)
         assert subgraph_density(witness, edges) == Fraction(3, 2)
         assert exact_min_max_outdegree(11, edges)[0] == 2
+
+    def test_peel_not_optimal(self, monkeypatch):
+        # The peel drops vertex 1 before 4 and keeps 2/3; the first flow
+        # finds the path 1-6-5-7, and a second one certifies 3/4.
+        edges = [(1, 6), (4, 9), (5, 6), (5, 7)]
+        assert oracles._peel(10, edges)[0] == Fraction(2, 3)
+        flows = _record_flows(monkeypatch)
+        rho, witness = exact_density(10, edges)
+        assert rho == Fraction(3, 4) == exact_density_enum(10, edges)
+        assert subgraph_density(witness, edges) == rho
+        assert len(flows) >= 2
+
+    def test_k6_with_pendant_paths(self, monkeypatch):
+        # Two 7-vertex paths hang off the clique; the 5/2-core is the K6,
+        # so every flow runs on its 15 edges alone.
+        k6 = clique_edges(6)
+        edges = (k6 + [(0, 6)] + path_edges(6, 13) + [(1, 13)]
+                 + path_edges(13, 20))
+        flows = _record_flows(monkeypatch)
+        rho, witness = exact_density(20, edges)
+        assert rho == Fraction(5, 2) == exact_density_enum(20, edges)
+        assert witness == list(range(6))
+        assert subgraph_density(witness, edges) == rho
+        assert flows and all(sorted(f) == k6 for f in flows)
 
     def test_limit_enforced(self):
         with pytest.raises(OracleLimitError):

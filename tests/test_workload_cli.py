@@ -4,13 +4,19 @@ import csv
 import io
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from dynorient import OrientationConfig, WorkloadError
 from dynorient.harness import bench, replay
-from dynorient.oracles import exact_arboricity, exact_density
-from dynorient.workload import generate, parse_workload
+from dynorient.oracles import (
+    exact_arboricity,
+    exact_density,
+    exact_density_enum,
+    subgraph_density,
+)
+from dynorient.workload import generate, load_workload, parse_workload
 
 from conftest import clique_edges
 
@@ -166,6 +172,18 @@ def test_cli_end_to_end(tmp_path):
     assert csv_path.read_text().startswith("op_index,")
     r = run("oracle", "density", str(wl))
     assert r.returncode == 0 and r.stdout.startswith("density ")
+    # The printed witness reaches the printed density, the exact maximum.
+    n, ops = load_workload(wl)
+    edges = set()
+    for op in ops:
+        if op.kind == "+":
+            edges.add((min(op.u, op.v), max(op.u, op.v)))
+        elif op.kind == "-":
+            edges.discard((min(op.u, op.v), max(op.u, op.v)))
+    rho_text, witness_text = r.stdout[len("density "):].split(" witness")
+    rho = Fraction(rho_text)
+    assert rho == exact_density_enum(n, edges) > 0
+    assert subgraph_density(map(int, witness_text.split()), edges) == rho
     r = run("oracle", "arboricity", str(wl))
     assert r.returncode == 0 and r.stdout.startswith("arboricity ")
     # errors surface with the line number and a nonzero exit
