@@ -57,16 +57,23 @@ class OrientationStack:
 
     # -- queries -------------------------------------------------------------
 
+    # A broken engine (an update raised part-way) answers no query: its
+    # layers may disagree, so any answer could be wrong.
+
     def density_value(self) -> Fraction:
+        self.engine.check_sound()
         return self.density.value()
 
     def density_estimate(self) -> Fraction:
+        self.engine.check_sound()
         return self.density.estimate()
 
     def extract_densest(self) -> DensityReport:
+        self.engine.check_sound()
         return self.density.extract()
 
     def max_simple_out_degree(self) -> int:
+        self.engine.check_sound()
         return self.rounding.max_simple_out_degree()
 
     # -- applications ---------------------------------------------------------

@@ -98,7 +98,8 @@ class OrientationEngine:
 
     An exception that escapes an update once it has started to change state
     marks the engine ``broken``; every later update then raises
-    ``CorruptionError`` without touching anything.
+    ``CorruptionError`` without touching anything, and so does every
+    query of ``OrientationStack``.
     """
 
     def __init__(self, cfg: OrientationConfig):
@@ -131,6 +132,9 @@ class OrientationEngine:
         # delete): the vertices whose rings are to be refreshed, as dict
         # keys in last-commit order.  None otherwise.
         self.pending = None
+        # Vertices whose ring shrank back to the window during the update
+        # now running; see _refresh_regained.
+        self._regained: list = []
         # Audit builds: (post-commit hook, vertex) of each deferred commit,
         # run at the flush.
         self._audits_due: list = []
@@ -198,8 +202,7 @@ class OrientationEngine:
         ring of each vertex that committed is refreshed once, after the last
         copy; see ``_insert_chain`` and ``_flush``.  Otherwise every commit
         refreshes at once.  ``delete`` defers under the same rule."""
-        if self.broken is not None:
-            self._raise_broken()
+        self.check_sound()
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
         key = a * self.n + c
@@ -219,6 +222,8 @@ class OrientationEngine:
                 self._insert_chain(t)
             if self.pending is not None:
                 self._flush()
+            if self._regained:
+                self._refresh_regained()
             self.m_simple += 1
             if rec is not None:
                 rec.emit(ev.SIMPLE_INSERTED, a, c)
@@ -245,8 +250,7 @@ class OrientationEngine:
         it reads; see ``_delete_chain``.  A flip that pushes a ring past the
         window flushes and ends the deferral mid-delete.
         """
-        if self.broken is not None:
-            self._raise_broken()
+        self.check_sound()
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
         key = a * self.n + c
@@ -277,6 +281,8 @@ class OrientationEngine:
                 self._delete_chain(t)
             if self.pending is not None:
                 self._flush()
+            if self._regained:
+                self._refresh_regained()
             if e_cnt[2 * pid] or e_cnt[2 * pid + 1]:
                 raise CorruptionError("copies survived a simple-edge drain")
             del self.pairs[key]
@@ -293,13 +299,18 @@ class OrientationEngine:
         leaves behind; it is not rolled back."""
         self.broken = (self.updates, repr(exc))
         self.pending = None
+        self._regained.clear()
         self._audits_due.clear()
 
-    def _raise_broken(self) -> None:
+    def check_sound(self) -> None:
+        """Raise ``CorruptionError`` naming the update that broke the
+        engine, if one did."""
+        if self.broken is None:
+            return
         op, exc = self.broken
         raise CorruptionError(
             f"op {op} raised {exc} part-way; the engine is inconsistent "
-            "and takes no further updates")
+            "and takes no further updates or queries")
 
     def has_edge(self, u: int, v: int) -> bool:
         a, c = (u, v) if u < v else (v, u)
@@ -363,6 +374,7 @@ class OrientationEngine:
         self.out_sz[u] = sz
         if sz == self.window:
             self.long_rings -= 1
+            self._regained.append(u)
 
     # ------------------------------------------------------------------
     # In-bucket mechanics.
@@ -675,6 +687,19 @@ class OrientationEngine:
                 move(e, d, key)
             e = rn_next[e]
         self.cursor[u] = e
+
+    def _refresh_regained(self) -> None:
+        """Refresh the whole ring of each vertex whose ring shrank back to
+        the window during the update.  While it was longer its refreshes
+        reached only the window, so entries behind it may be stale, yet at
+        an update boundary a ring that fits the window records exact
+        degrees.  A ring that outgrew the window again is left as it is.
+        Never in exact mode, where no ring reaches the window n."""
+        regained = self._regained
+        for u in regained:
+            if self.out_sz[u] <= self.window:
+                self._refresh(u)
+        regained.clear()
 
     def _flush(self) -> None:
         """Run the refreshes an insert or a delete deferred, each pending
