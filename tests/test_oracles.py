@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from dynorient import OracleLimitError, oracles, OrientationConfig, OrientationStack
+from dynorient import (
+    OracleLimitError,
+    OrientationConfig,
+    OrientationStack,
+    oracles,
+)
 from dynorient.oracles import (
     audit_state,
     exact_arboricity,
@@ -86,8 +91,9 @@ class TestExactDensity:
         assert len(flows) >= 2
 
     def test_k6_with_pendant_paths(self, monkeypatch):
-        # Two 7-vertex paths hang off the clique; the 5/2-core is the K6,
-        # so every flow runs on its 15 edges alone.
+        # Two 7-vertex paths hang off the clique; at guess 5/2 the core
+        # (induced degrees >= 3) is the K6, so every flow runs on its 15
+        # edges alone.
         k6 = clique_edges(6)
         edges = (k6 + [(0, 6)] + path_edges(6, 13) + [(1, 13)]
                  + path_edges(13, 20))
