@@ -34,7 +34,9 @@ all fixed when the engine is built:
   ``window`` out-neighbors from the cursor.  In exact mode the window is n,
   so no ring outgrows it and every out-neighbor hears of each change.  In
   perceived mode it is rr_width = ceil(128/(eta/b)); once a ring is longer,
-  the out-neighbors outside the window keep a stale *perceived* value.
+  the out-neighbors outside the window keep a stale *perceived* value.  A
+  ring that shrinks back to the window is refreshed whole at the end of
+  the update, so a ring that fits records exact degrees between updates.
 * The bucket key.  Exact mode keys an in-entry by its recorded degree
   itself.  Perceived mode keys it geometrically: perceived degree p sits in
   bucket j iff (1 + slack/64)^j <= p < (1 + slack/64)^(j+1), so a refresh
