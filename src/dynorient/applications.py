@@ -346,14 +346,13 @@ class MatVecProduct(OrientationListener):
     touches only the out-neighborhood and queries scan it once.
 
     In passive mode (driven purely by graph updates, e.g. from the CLI)
-    unseen entries default to ``default_entry``.
+    unseen entries default to 1.
     """
 
-    def __init__(self, stack, default_entry: int = 1):
+    def __init__(self, stack):
         self.stack = stack
         self.rounding = stack.rounding
         n = self.rounding.n
-        self.default_entry = default_entry
         self.a: dict[int, int] = {}
         self.x = [1] * n
         self.s = [0] * n
@@ -362,7 +361,7 @@ class MatVecProduct(OrientationListener):
     # -- listener hooks -------------------------------------------------
 
     def on_insert(self, tail: int, head: int) -> None:
-        val = self.a.setdefault(self._key(tail, head), self.default_entry)
+        val = self.a.setdefault(self._key(tail, head), 1)
         self.s[head] += val * self.x[tail]
 
     def on_delete(self, tail: int, head: int) -> None:

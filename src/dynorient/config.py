@@ -5,25 +5,27 @@ the slack ratio eta/b, which is stored as an exact ``Fraction``.  Presets whose
 published formulas involve ln N rationalize it once at construction; after
 that nothing in the package touches floating point on a decision path.
 
-The named presets trade orientation quality against work per update:
+The named presets trade orientation quality against work per update.  Each
+fixes its constants, so a preset's name says which regime a config runs;
+``OrientationConfig(capacity, eta, b, gamma, theta, epsilon)`` is the one
+path to other values:
 
-==================== ===== ==== =======================================
-preset               theta b    character
-==================== ===== ==== =======================================
-simple-additive      1     1    exact degrees, additive +2 slack
-simple-multiplicative 0    10   exact degrees, multiplicative slack
-fast-additive        1     6    perceived degrees, round-robin updates
-fast-multiplicative  0     12   perceived degrees, multiplicative slack
-eps-density          0     f(ε) fast-multiplicative tuned so that the
-                                 degree/b ratio tracks the maximum
-                                 subgraph density within (1+ε)
-==================== ===== ==== =======================================
+===================== ===== ==== =========== ===== =========================
+preset                theta b    eta         gamma character
+===================== ===== ==== =========== ===== =========================
+simple-additive       1     1    1/(2 ln N)  1     exact degrees, additive
+simple-multiplicative 0     10   4           1     exact, multiplicative
+fast-additive         1     6    5.94/ln N   1     perceived, additive
+fast-multiplicative   0     12   4           1     perceived, multiplicative
+eps-density           0     f(ε) 4           ε/10  density within (1+ε)
+===================== ===== ==== =========== ===== =========================
+
+f(ε) is the smallest even b with 4/b <= ε/10.
 
 The theory behind the multiplicative presets permits far larger eta and b
-than the defaults here; those values cost orders of magnitude more work per
-update for no observable gain at the scales this artifact targets, so the
-defaults are chosen for practical replay speed and every constructor accepts
-overrides.
+than these; those values cost orders of magnitude more work per update for
+no observable gain at the scales this artifact targets, so the presets are
+chosen for practical replay speed.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ PRESETS = (
 BASIC_PRESETS = (PRESET_SIMPLE_ADDITIVE, PRESET_SIMPLE_MULTIPLICATIVE)
 
 
-def _rationalize(x, max_denominator: int = 10**6) -> Fraction:
+def _rationalize(x) -> Fraction:
     """Turn a parameter into an exact Fraction.
 
     Floats (e.g. 1/(2 ln N)) are snapped to a nearby rational once; from then
@@ -64,7 +66,12 @@ def _rationalize(x, max_denominator: int = 10**6) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(x).limit_denominator(max_denominator)
+    return Fraction(x).limit_denominator(10**6)
+
+
+def _log_bound(capacity: int) -> Fraction:
+    """1/ln N, rationalized: the additive presets keep eta/b below it."""
+    return 1 / _rationalize(math.log(capacity))
 
 
 class OrientationConfig:
@@ -222,53 +229,46 @@ class OrientationConfig:
     # ------------------------------------------------------------------
 
     @classmethod
-    def simple_additive(cls, capacity: int, gamma=1) -> "OrientationConfig":
+    def simple_additive(cls, capacity: int) -> "OrientationConfig":
         """Additive invariant on the plain graph: b = 1, eta = 1/(2 ln N)."""
         eta = _rationalize(1.0 / (2.0 * math.log(capacity)))
-        cfg = cls(capacity, eta, 1, gamma, theta=1,
-                  preset=PRESET_SIMPLE_ADDITIVE)
-        cfg._check_log_bound(factor=1)
+        cfg = cls(capacity, eta, 1, 1, theta=1, preset=PRESET_SIMPLE_ADDITIVE)
+        cfg._check_log_bound()
         return cfg
 
     @classmethod
-    def simple_multiplicative(cls, capacity: int, eta=4, b: int = 10,
-                              gamma=1) -> "OrientationConfig":
-        """Multiplicative invariant with exact degrees.
+    def simple_multiplicative(cls, capacity: int) -> "OrientationConfig":
+        """Multiplicative invariant with exact degrees: eta = 4, b = 10.
 
-        Defaults keep replay practical; the published analysis allows any
+        These keep replay practical; the published analysis allows any
         eta > 2 with eta/b inversely proportional to ln N.
         """
-        return cls(capacity, eta, b, gamma, theta=0,
+        return cls(capacity, 4, 10, 1, theta=0,
                    preset=PRESET_SIMPLE_MULTIPLICATIVE)
 
     @classmethod
-    def fast_additive(cls, capacity: int, gamma=1) -> "OrientationConfig":
-        """Additive invariant with perceived degrees: b = 6 and the largest
-        eta with eta/b < 1/(ln N * max(1/gamma, 1))."""
-        gamma_f = _rationalize(gamma)
-        log_n = _rationalize(math.log(capacity))
-        bound = 1 / (log_n * max(1 / gamma_f, Fraction(1)))
+    def fast_additive(cls, capacity: int) -> "OrientationConfig":
+        """Additive invariant with perceived degrees: b = 6 and eta at 99/100
+        of the bound eta/b < 1/ln N."""
         b = 6
-        eta = b * bound * Fraction(99, 100)
-        cfg = cls(capacity, eta, b, gamma_f, theta=1,
-                  preset=PRESET_FAST_ADDITIVE)
-        cfg._check_log_bound(factor=1)
+        eta = b * _log_bound(capacity) * Fraction(99, 100)
+        cfg = cls(capacity, eta, b, 1, theta=1, preset=PRESET_FAST_ADDITIVE)
+        cfg._check_log_bound()
         return cfg
 
     @classmethod
-    def fast_multiplicative(cls, capacity: int, eta=4, b: int = 12,
-                            gamma=1) -> "OrientationConfig":
-        """Multiplicative invariant with perceived degrees."""
-        return cls(capacity, eta, b, gamma, theta=0,
+    def fast_multiplicative(cls, capacity: int) -> "OrientationConfig":
+        """Multiplicative invariant with perceived degrees: eta = 4, b = 12."""
+        return cls(capacity, 4, 12, 1, theta=0,
                    preset=PRESET_FAST_MULTIPLICATIVE)
 
     @classmethod
-    def eps_density(cls, capacity: int, epsilon, eta=4) -> "OrientationConfig":
+    def eps_density(cls, capacity: int, epsilon) -> "OrientationConfig":
         """Fast-multiplicative tuned so b * max-out-degree tracks the maximum
         subgraph density within a factor (1+epsilon).
 
-        With eps' = epsilon/10 we take gamma = eps' and the smallest even b
-        with eta/b <= eps'.  The resulting estimate ratio is at most
+        With eps' = epsilon/10 we take eta = 4, gamma = eps' and the smallest
+        even b with eta/b <= eps'.  The resulting estimate ratio is at most
         (1+gamma)*(1+eta/b)^k <= (1+eps')^(k+1) where k is the realized
         threshold index of the extraction, so the (1+epsilon) envelope holds
         whenever k+1 <= ln(1+eps)/ln(1+eps'); the density layer asserts the
@@ -278,11 +278,10 @@ class OrientationConfig:
         if not (0 < epsilon < 1):
             raise ConfigError("epsilon must lie in (0, 1)")
         eps_prime = epsilon / 10
-        eta = _rationalize(eta)
-        b = math.ceil(eta / eps_prime)
+        b = math.ceil(4 / eps_prime)
         if b % 2:
             b += 1
-        return cls(capacity, eta, b, eps_prime, theta=0, epsilon=epsilon,
+        return cls(capacity, 4, b, eps_prime, theta=0, epsilon=epsilon,
                    preset=PRESET_EPS_DENSITY)
 
     @classmethod
@@ -303,10 +302,9 @@ class OrientationConfig:
             return cls.eps_density(capacity, epsilon)
         raise ConfigError(f"unknown preset {preset!r}")
 
-    def _check_log_bound(self, factor: int) -> None:
-        # Additive presets keep eta/b < 1/(factor * ln N * max(1/gamma, 1)).
-        log_n = _rationalize(math.log(self.capacity))
-        bound = 1 / (factor * log_n * max(1 / self.gamma, Fraction(1)))
+    def _check_log_bound(self) -> None:
+        # Additive presets keep eta/b < 1/ln N.
+        bound = _log_bound(self.capacity)
         if not self.slack < bound:
             raise ConfigError(
                 f"eta/b = {self.slack} violates the {self.preset} bound {bound}")

@@ -19,9 +19,11 @@
   so the oracle stays independent of the structures it checks.
 * ``exact_min_max_outdegree``: least k admitting an orientation with all
   out-degrees <= k, by the same loop on integers (next k = ceil of the
-  cut set's density); the saturated flow at the final k is the witness
-  orientation.  Picard-Queyranne duality makes this ceil(exact_density),
-  which the acceptance suite cross-checks.
+  cut set's density) on the whole network; the saturated flow at the final
+  k is the witness orientation.  The loop starts at the ceiling of the
+  peel's density, a lower bound on k: some vertex of any set S holds at
+  least |E[S]|/|S| of its edges.  Picard-Queyranne duality makes this
+  ceil(exact_density), which the acceptance suite cross-checks.
 * ``exact_density_enum`` / ``exact_arboricity``: full subset enumeration
   with an O(2^n) shared edge-count table; cross-checks the flow oracle and
   anchors the arboricity-based bounds.
@@ -207,7 +209,7 @@ def exact_min_max_outdegree(n: int, edges, limit: int = FLOW_LIMIT_DEFAULT):
             f"flow orientation oracle capped at n <= {limit}, got {n}")
     edges = list(edges)
     m = len(edges)
-    k = 0
+    k = math.ceil(_peel(n, edges)[0]) if edges else 0
     net, found = _denser_set(n, edges, Fraction(k))
     while found is not None:
         k = math.ceil(subgraph_density(found, edges))

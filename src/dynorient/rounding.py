@@ -43,14 +43,14 @@ class OrientationListener:
 
 class RoundedOrientation:
     """The simple orientation: ``out[u]`` holds u's simple out-neighbors as
-    dict keys (insertion-ordered, values unused), ``simple_out`` their
-    counts, and a histogram of those counts keeps the maximum."""
+    dict keys (insertion-ordered, values unused), so ``len(out[u])`` is u's
+    simple out-degree, and a histogram of those degrees keeps the
+    maximum."""
 
     def __init__(self, capacity: int):
         n = capacity
         self.n = n
         self.out: list[dict] = [dict() for _ in range(n)]
-        self.simple_out = [0] * n
         self._hist = [n]                  # vertices per simple out-degree
         self._max = 0
         self.listeners: list[OrientationListener] = []
@@ -102,8 +102,8 @@ class RoundedOrientation:
         self.total_simple_flips += 1
         for ls in self.listeners:
             ls.on_flip(tail, head)
-            ls.on_degree(head, self.simple_out[head])
-            ls.on_degree(tail, self.simple_out[tail])
+            ls.on_degree(head, len(out[head]))
+            ls.on_degree(tail, len(out[tail]))
 
     def simple_inserted(self, a: int, b: int, cab: int, cba: int) -> None:
         if self.has_edge(a, b):
@@ -113,7 +113,7 @@ class RoundedOrientation:
         self._deg_up(tail)
         for ls in self.listeners:
             ls.on_insert(tail, head)
-            ls.on_degree(tail, self.simple_out[tail])
+            ls.on_degree(tail, len(self.out[tail]))
 
     def simple_deleted(self, a: int, b: int) -> None:
         if b in self.out[a]:
@@ -126,31 +126,30 @@ class RoundedOrientation:
         self._deg_down(tail)
         for ls in self.listeners:
             ls.on_delete(tail, head)
-            ls.on_degree(tail, self.simple_out[tail])
+            ls.on_degree(tail, len(self.out[tail]))
 
     # ------------------------------------------------------------------
     # Degree histogram and its maximum; degrees move by one at a time.
+    # Both run after ``out[u]`` gained or lost its entry.
     # ------------------------------------------------------------------
 
     def _deg_up(self, u: int) -> None:
-        d = self.simple_out[u]
+        d = len(self.out[u])
         hist = self._hist
-        hist[d] -= 1
-        if d + 1 >= len(hist):
+        hist[d - 1] -= 1
+        if d >= len(hist):
             hist.append(0)
-        hist[d + 1] += 1
-        self.simple_out[u] = d + 1
-        if d + 1 > self._max:
-            self._max = d + 1
+        hist[d] += 1
+        if d > self._max:
+            self._max = d
 
     def _deg_down(self, u: int) -> None:
-        d = self.simple_out[u]
+        d = len(self.out[u])
         hist = self._hist
-        hist[d] -= 1
-        hist[d - 1] += 1
-        self.simple_out[u] = d - 1
-        if d == self._max and hist[d] == 0:
-            self._max = d - 1             # where u now sits
+        hist[d + 1] -= 1
+        hist[d] += 1
+        if d + 1 == self._max and hist[d + 1] == 0:
+            self._max = d                 # where u now sits
 
     # ------------------------------------------------------------------
     # Audit.
@@ -158,7 +157,7 @@ class RoundedOrientation:
 
     def violations(self, engine) -> list[str]:
         """Check directions against a majority recount of the engine's copy
-        counts, and the degree bookkeeping against the adjacency."""
+        counts, and the maximum out-degree against the adjacency."""
         bad = []
         live = {}
         for a, b in engine.edges():
@@ -176,8 +175,6 @@ class RoundedOrientation:
             if got.get(pair, want) != want:
                 bad.append(f"direction of {pair} disagrees with majority")
         deg = [len(heads) for heads in self.out]
-        if deg != self.simple_out:
-            bad.append("simple out-degrees disagree with directions")
         if self._max != max(deg, default=0):
             bad.append("max simple out-degree tracker is stale")
         return bad

@@ -19,6 +19,9 @@ from .state import OrientationEngine
 class OrientationStack:
     """A configured engine plus everything listening to it.
 
+    It builds the rounding layer and the density tracker, then the engine
+    with both, the optional event ``recorder`` and ``audit_hooks``.
+
     Updates go through :meth:`insert`/:meth:`delete`; queries are read-only
     and must run between updates (single-writer discipline; the structure
     may move between threads at update boundaries).
@@ -27,15 +30,12 @@ class OrientationStack:
     def __init__(self, cfg: OrientationConfig, recorder=None,
                  audit_hooks: bool = False):
         self.cfg = cfg
-        self.engine = OrientationEngine(cfg)
-        self.engine.audit_hooks = audit_hooks
         self.rounding = RoundedOrientation(cfg.capacity)
         # One object takes the degree stream and answers the density
         # queries; callers read it as ``tracker`` or as ``density``.
         self.tracker = self.density = DensityTracker(cfg)
-        self.engine.rounding = self.rounding
-        self.engine.degree_listener = self.tracker
-        self.engine.recorder = recorder
+        self.engine = OrientationEngine(cfg, self.rounding, self.tracker,
+                                        recorder, audit_hooks)
         self.matching = None
         self.coloring = None
         self.forests = None
@@ -51,9 +51,6 @@ class OrientationStack:
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.engine.has_edge(u, v)
-
-    def edge_count(self) -> int:
-        return self.engine.m_simple
 
     # -- queries -------------------------------------------------------------
 
@@ -97,10 +94,10 @@ class OrientationStack:
             self.forests = ForestDecomposition(self.rounding)
         return self.forests
 
-    def attach_matvec(self, default_entry: int = 1) -> MatVecProduct:
+    def attach_matvec(self) -> MatVecProduct:
         if self.matvec is None:
             self._check_attachable("matvec")
-            self.matvec = MatVecProduct(self, default_entry)
+            self.matvec = MatVecProduct(self)
         return self.matvec
 
     def _check_attachable(self, name: str) -> None:

@@ -96,7 +96,9 @@ class OrientationEngine:
     guard.  The engine also owns the pair registry (a pair id p names
     entries 2p and 2p+1; no other module relies on that layout), the
     ring/bucket mechanics, event emission, the per-update counters and, for
-    audit builds, the audits run after each flip and each commit.
+    audit builds (``audit_hooks``), the audits run after each flip and each
+    commit.  It is built with its ``rounding`` and ``degree_listener``
+    layers and an optional event ``recorder``; see ``OrientationStack``.
 
     An exception that escapes an update once it has started to change state
     marks the engine ``broken``; every later update then raises
@@ -104,7 +106,8 @@ class OrientationEngine:
     query of ``OrientationStack``.
     """
 
-    def __init__(self, cfg: OrientationConfig):
+    def __init__(self, cfg: OrientationConfig, rounding, degree_listener,
+                 recorder=None, audit_hooks: bool = False):
         n = cfg.capacity
         self.cfg = cfg
         self.n = n
@@ -172,10 +175,10 @@ class OrientationEngine:
 
         self.m_simple = 0
 
-        # Listeners (all optional; see rounding/density modules).
-        self.rounding = None
-        self.degree_listener = None
-        self.recorder = None
+        # Collaborators, read at each call so that they can be swapped.
+        self.rounding = rounding
+        self.degree_listener = degree_listener
+        self.recorder = recorder
 
         # (op index, repr of the exception) of the update that raised after
         # it started to change state; None while the engine is sound.
@@ -189,7 +192,8 @@ class OrientationEngine:
         self.last_scan = 0
         self.total_copy_flips = 0
         self.total_suppressed = 0
-        self.audit_hooks = False
+        self.audit_hooks = audit_hooks
+        self.audits_skipped = 0
 
     # ------------------------------------------------------------------
     # Public update surface.
@@ -229,10 +233,9 @@ class OrientationEngine:
             self.m_simple += 1
             if rec is not None:
                 rec.emit(ev.SIMPLE_INSERTED, a, c)
-            if self.rounding is not None:
-                e = 2 * pid
-                self.rounding.simple_inserted(a, c, self.e_cnt[e],
-                                              self.e_cnt[e + 1])
+            e = 2 * pid
+            self.rounding.simple_inserted(a, c, self.e_cnt[e],
+                                          self.e_cnt[e + 1])
             self.updates += 1
         except BaseException as exc:
             self._break(exc)
@@ -264,8 +267,7 @@ class OrientationEngine:
         try:
             if rec is not None:
                 rec.emit(ev.SIMPLE_DELETED, a, c)
-            if self.rounding is not None:
-                self.rounding.simple_deleted(a, c)
+            self.rounding.simple_deleted(a, c)
             out_deg = self.out_deg
             e_cnt = self.e_cnt
             self.pending = None if self.long_rings else {}
@@ -627,12 +629,10 @@ class OrientationEngine:
         h = self.e_head[eid]
         self._remove_copy(eid)
         self._add_copy(eid ^ 1)
-        rounding = self.rounding
-        if rounding is not None:
-            e = eid & -2
-            e_cnt = self.e_cnt
-            rounding.counts_changed(self.e_tail[e], self.e_head[e],
-                                    e_cnt[e], e_cnt[e + 1])
+        e = eid & -2
+        e_cnt = self.e_cnt
+        self.rounding.counts_changed(self.e_tail[e], self.e_head[e],
+                                     e_cnt[e], e_cnt[e + 1])
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.COPY_FLIPPED, t, h)
@@ -649,9 +649,7 @@ class OrientationEngine:
         ``_flush`` refreshes its ring and runs the audit.  Only commits
         change ``out_deg``, so the flush reads u's latest degree there."""
         self.out_deg[u] = d
-        dl = self.degree_listener
-        if dl is not None:
-            dl.degree_changed(u, d)
+        self.degree_listener.degree_changed(u, d)
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
@@ -1064,10 +1062,17 @@ class OrientationEngine:
                         f"!= exact {self.out_deg[t]}")
         return bad
 
+    def _audit_skipped(self) -> bool:
+        """Skip, and count, an audit on an update where a flip suppression
+        fired: the audits assume a steady-state degree floor it lacks."""
+        if self.last_suppressed:
+            self.audits_skipped += 1
+        return self.last_suppressed > 0
+
     def _audit_critical_ineq(self, t: int, h: int) -> None:
         """After any reorientation of a copy t->h:
         d+(t) > (1 + slack/4)(d+(h) - 1) + theta(1 - slack/128)."""
-        if self.last_suppressed:
+        if self._audit_skipped():
             return
         s = self.cfg.slack
         lhs = self.out_deg[t]
@@ -1078,14 +1083,11 @@ class OrientationEngine:
                 f"critical inequality failed on flip {t}->{h}: "
                 f"{lhs} <= {rhs}")
 
-    # Staleness lemma hooks, run after each commit in audit builds.  They
-    # check perceived mode only: under the exact guard the lemmas do not
-    # hold.  Skipped on updates where a transient flip suppression fired:
-    # the lemmas' preconditions assume the steady-state degree floor that
-    # those windows lack.
+    # Staleness lemma hooks, run after each commit in audit builds; perceived
+    # mode only, since under the exact guard the lemmas do not hold.
 
     def _audit_post_increment(self, u: int) -> None:
-        if not self.fast_mode or self.last_suppressed:
+        if not self.fast_mode or self._audit_skipped():
             return
         s = self.cfg.slack
         theta = self.cfg.theta
@@ -1102,7 +1104,7 @@ class OrientationEngine:
                     f"post-increment invariant failed on {u}->{v}")
 
     def _audit_post_decrement(self, v: int) -> None:
-        if not self.fast_mode or self.last_suppressed:
+        if not self.fast_mode or self._audit_skipped():
             return
         s = self.cfg.slack
         theta = self.cfg.theta

@@ -173,15 +173,16 @@ def _edge(u: int, v: int) -> tuple:
 
 
 def _gen_random(n: int, steps: int, seed: int,
-                insert_bias: float = 0.6, max_edges: Optional[int] = None):
-    """Insert/delete mix keeping the graph sparse (default cap 2n edges)."""
+                max_edges: Optional[int] = None):
+    """Insert/delete mix keeping the graph sparse (default cap 2n edges):
+    below the cap, a step inserts with probability 0.6."""
     rng = random.Random(seed)
     cap = max_edges if max_edges is not None else 2 * n
     pool = _EdgePool()
     ops = []
     for _ in range(steps):
         do_insert = len(pool) == 0 or (
-            len(pool) < cap and rng.random() < insert_bias)
+            len(pool) < cap and rng.random() < 0.6)
         if do_insert:
             for _ in range(32):
                 e = _edge(rng.randrange(n), rng.randrange(n))

@@ -68,7 +68,7 @@ def test_delete_only_edge_returns_to_zero_without_recursion():
     engine = stack.engine
     assert engine.out_deg == [0] * 8
     assert engine.last_chain == 0
-    assert stack.edge_count() == 0
+    assert engine.m_simple == 0
 
 
 def test_deletion_cascade_climbs_toward_larger_degrees():
@@ -118,7 +118,7 @@ def test_chain_length_tracks_logarithmic_budget():
 def test_flips_strictly_reduce_head_degree_terminates():
     # The progress rule guarantees termination even on the adversarial
     # fresh-pair case for the multiplicative invariant.
-    cfg = OrientationConfig.simple_multiplicative(8, eta=4, b=10)
+    cfg = OrientationConfig.simple_multiplicative(8)
     stack = OrientationStack(cfg)
     # Both endpoints fresh: mid-insert states admit no valid orientation,
     # so unguarded greedy flipping would ping-pong forever here.

@@ -135,15 +135,36 @@ class TestExactOrientation:
             counts[tail] += 1
         assert max(counts) <= 1
 
-    def test_k4(self):
+    def test_k4(self, monkeypatch):
+        # The peel finds 3/2, so the loop starts at k = 2 and its one flow
+        # saturates.
+        flows = _record_flows(monkeypatch)
         k, orientation = exact_min_max_outdegree(4, clique_edges(4))
         assert k == 2
+        assert len(flows) == 1
         counts = [0] * 4
         for tail, _ in orientation:
             counts[tail] += 1
         assert max(counts) <= 2
         assert sorted((min(a, b), max(a, b)) for a, b in orientation) \
             == clique_edges(4)
+
+
+    def test_weak_start_climbs_to_the_same_k(self, monkeypatch):
+        # Started at k = 0 instead of the peel's bound, the loop's flows
+        # climb to the same k and the witness reaches it.
+        edges = clique_edges(5) + path_edges(5, 15)
+        k, _ = exact_min_max_outdegree(15, edges)
+        monkeypatch.setattr(oracles, "_peel",
+                            lambda n, edges: (Fraction(0), [], [0] * n))
+        flows = _record_flows(monkeypatch)
+        weak_k, orientation = exact_min_max_outdegree(15, edges)
+        assert weak_k == k == 2
+        assert len(flows) >= 2
+        counts = [0] * 15
+        for tail, _ in orientation:
+            counts[tail] += 1
+        assert max(counts) == k
 
 
 class TestArboricity:
