@@ -93,6 +93,8 @@ def main(argv=None) -> int:
                     log_fh.close()
             s = result.summary()
             print(f"replayed {s['ops']} ops, {s['audits']} audits clean, "
+                  f"{s['oracle_skipped']} skipped the exact-density check "
+                  f"(oracle limit {args.oracle_limit}), "
                   f"peak recourse ratio {s['max_recourse_ratio']:.3f}")
             return 0
 

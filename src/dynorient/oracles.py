@@ -32,6 +32,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from fractions import Fraction
@@ -131,7 +132,9 @@ def _denser_set(n: int, edges, g: Fraction):
 
 
 def _peel(n: int, edges):
-    """Greedy peel (Charikar): repeatedly drop a vertex of least degree.
+    """Greedy peel (Charikar): repeatedly drop a vertex of least degree,
+    the least id among equals, in O(m log n) with a heap of (degree, id)
+    whose stale items are skipped when popped.
 
     Returns (density, vertices, core) for the densest set the peel leaves
     behind, compared exactly, with core[v] the core number of v: the
@@ -143,25 +146,32 @@ def _peel(n: int, edges):
         adj[u].append(v)
         adj[v].append(u)
     deg = [len(a) for a in adj]
-    alive = set(range(n))
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    alive = [True] * n
+    left = n
     core = [0] * n
     order = []
     m_left = len(edges)
     best_m, best_k, best_at = m_left, n, 0
     k = 0
-    while alive:
-        v = min(alive, key=deg.__getitem__)
-        if deg[v] > k:
-            k = deg[v]
+    while left:
+        d, v = heapq.heappop(heap)
+        if not alive[v] or d != deg[v]:
+            continue
+        if d > k:
+            k = d
         core[v] = k
-        alive.remove(v)
+        alive[v] = False
+        left -= 1
         order.append(v)
-        m_left -= deg[v]
+        m_left -= d
         for w in adj[v]:
-            if w in alive:
+            if alive[w]:
                 deg[w] -= 1
-        if m_left * best_k > best_m * len(alive):
-            best_m, best_k, best_at = m_left, len(alive), len(order)
+                heapq.heappush(heap, (deg[w], w))
+        if m_left * best_k > best_m * left:
+            best_m, best_k, best_at = m_left, left, len(order)
     return Fraction(best_m, best_k), sorted(order[best_at:]), core
 
 

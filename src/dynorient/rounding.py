@@ -3,21 +3,25 @@
 Every simple edge points the way the majority of its b copies point, ties
 toward the lexicographically smaller endpoint.  The simple adjacency ``out``
 is the one record of directions: a visible edge {a, b} points a->b exactly
-when ``out[a]`` holds b, and then ``out[b]`` does not hold a.  Only copy
-flips are reported, once each with the final counts (one copy changing sides
-crosses the majority at most once); a visible pair whose majority crosses
-gets reoriented and the change is pushed to registered application
-listeners.  The copies a simple insert places and a simple delete drains are
-not reported: the pair is invisible while they are placed (the engine
-announces it once they settle) and from the moment the deletion starts
-draining them, so applications always observe a consistent simple graph.
-``counts_changed`` still ignores an invisible pair, one neither endpoint's
-``out`` holds, because a flip chain may in principle reverse a copy of the
-pair being placed or drained.
+when ``out[a]`` holds b, and then ``out[b]`` does not hold a.  The engine
+reports only copy flips that cross the majority, once each with the final
+counts (one copy changing sides crosses it at most once); a visible pair
+whose majority crosses gets reoriented and the change is pushed to
+registered application listeners.  A flip that keeps the majority is not
+reported: a visible pair already points its majority's way.  The copies a
+simple insert places and a simple delete drains are not reported either:
+the pair is invisible while they are placed (the engine announces it once
+they settle) and from the moment the deletion starts draining them, so
+applications always observe a consistent simple graph.  ``counts_changed``
+keeps its own checks: it ignores a call that finds the majority's direction
+already in place, and an invisible pair, one neither endpoint's ``out``
+holds.
 
 Listener contract (synchronous, dispatch in registration order): on_insert,
-on_delete, on_flip all receive (tail, head) in the current orientation;
-on_degree receives (vertex, new simple out-degree).
+on_delete, on_flip all receive (tail, head) in the current orientation, and
+on_flip fires once per reported crossing, that is once per copy flip that
+crosses the majority of a visible pair; on_degree receives (vertex, new
+simple out-degree).
 """
 
 from __future__ import annotations
@@ -88,7 +92,8 @@ class RoundedOrientation:
     # ------------------------------------------------------------------
 
     def counts_changed(self, a: int, b: int, cab: int, cba: int) -> None:
-        """One copy of pair (a, b) flipped; reorient on a majority crossing."""
+        """A copy of pair (a, b) flipped across its majority; reorient the
+        pair if it is visible and not yet pointing the majority's way."""
         tail, head = (a, b) if cab > cba or (cab == cba) else (b, a)
         out = self.out
         if head in out[tail]:

@@ -586,10 +586,12 @@ class OrientationEngine:
 
     # ------------------------------------------------------------------
     # Copy-level primitives.  _add_copy/_remove_copy do the adjacency work
-    # for one copy held by an entry and nothing else: insert/delete emit
-    # their COPY_ADDED/COPY_REMOVED events, and rounding never hears about
-    # them, since a pair is invisible to it while its copies are placed or
-    # drained.  _flip_copy is the one way a copy changes sides.
+    # for one copy that insert places or delete drains and nothing else:
+    # insert/delete emit their COPY_ADDED/COPY_REMOVED events, and rounding
+    # never hears about them, since a pair is invisible to it while its
+    # copies are placed or drained.  _flip_copy is the one way a copy
+    # changes sides; it keeps the counts of both entries itself and links
+    # or unlinks an entry only when it fills or empties.
     # ------------------------------------------------------------------
 
     def _add_copy(self, eid: int) -> None:
@@ -603,11 +605,15 @@ class OrientationEngine:
             self._ring_insert(eid, t)
             self._bucket_attach(self.e_head[eid], eid, dt)
         elif self.e_perc[eid] != dt:
-            # A copy joining an existing group refreshes its recorded degree,
-            # unless t waits for the flush, which re-keys the entry again.
-            pending = self.pending
-            if pending is None or t not in pending:
-                self.move_bucket(eid, dt)
+            self._rekey_joined(eid, t, dt)
+
+    def _rekey_joined(self, eid: int, t: int, dt: int) -> None:
+        """A copy joined entry eid, which already held copies and records
+        another degree than its tail t's out-degree dt: re-key the entry,
+        unless t waits for the flush, which re-keys it again."""
+        pending = self.pending
+        if pending is None or t not in pending:
+            self.move_bucket(eid, dt)
 
     def _remove_copy(self, eid: int) -> None:
         """Remove one copy from entry eid.  The last copy unlinks the entry
@@ -621,18 +627,41 @@ class OrientationEngine:
     def _flip_copy(self, eid: int) -> None:
         """Reverse one copy held by entry eid (t->h becomes h->t).
 
-        Rounding hears of it once, with the final counts: one copy changing
-        sides can cross the majority at most once.  Then the flip is
-        emitted and counted, and audit builds check the critical inequality.
+        The copy leaves eid, which is unlinked if it empties, and joins the
+        reverse entry eid ^ 1, which is linked if it fills and otherwise
+        re-keyed as in ``_add_copy``.  Rounding hears of the flip, with the
+        final counts, only when it crosses the pair's majority: the flip
+        moves the difference (copies a->c) - (copies c->a) by 2, and the
+        majority, ties toward a, crosses exactly when the larger of the
+        difference before and after the flip is 0 or 1.  A flip that keeps
+        the majority cannot reorient a visible pair, whose simple direction
+        is its majority.  Then the flip is emitted and counted, and audit
+        builds check the critical inequality.
         """
+        e_cnt = self.e_cnt
         t = self.e_tail[eid]
         h = self.e_head[eid]
-        self._remove_copy(eid)
-        self._add_copy(eid ^ 1)
+        cnt = e_cnt[eid] - 1
+        e_cnt[eid] = cnt
+        if cnt == 0:
+            self._ring_remove(eid, t)
+            self._bucket_detach(h, eid)
+        rev = eid ^ 1
+        cnt = e_cnt[rev]
+        e_cnt[rev] = cnt + 1
+        dh = self.out_deg[h]
+        if cnt == 0:
+            self._ring_insert(rev, h)
+            self._bucket_attach(t, rev, dh)
+        elif self.e_perc[rev] != dh:
+            self._rekey_joined(rev, h, dh)
         e = eid & -2
-        e_cnt = self.e_cnt
-        self.rounding.counts_changed(self.e_tail[e], self.e_head[e],
-                                     e_cnt[e], e_cnt[e + 1])
+        d = e_cnt[e] - e_cnt[e + 1]
+        if eid == e:
+            d += 2       # an a->c copy flipped: the difference before
+        if 0 <= d <= 1:
+            self.rounding.counts_changed(self.e_tail[e], self.e_head[e],
+                                         e_cnt[e], e_cnt[e + 1])
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.COPY_FLIPPED, t, h)
@@ -641,13 +670,15 @@ class OrientationEngine:
         if self.audit_hooks:
             self._audit_critical_ineq(t, h)
 
-    def _commit(self, u: int, d: int, audit) -> None:
-        """Set u's out-degree to d and announce it to the degree listener
-        and the recorder.  Without ``pending`` the out-neighbors hear of it
-        at once through ``_refresh``, and audit builds then run
-        ``audit(u)``.  With it, u moves to the end of ``pending``, and
-        ``_flush`` refreshes its ring and runs the audit.  Only commits
-        change ``out_deg``, so the flush reads u's latest degree there."""
+    def _commit(self, u: int, step: int) -> None:
+        """Move u's out-degree by ``step`` (+1 or -1) and announce it to the
+        degree listener and the recorder.  Without ``pending`` the
+        out-neighbors hear of it at once through ``_refresh``, and audit
+        builds then run the post-increment or post-decrement audit of u.
+        With it, u moves to the end of ``pending``, and ``_flush`` refreshes
+        its ring and runs the audit.  Only commits change ``out_deg``, so
+        the flush reads u's latest degree there."""
+        d = self.out_deg[u] + step
         self.out_deg[u] = d
         self.degree_listener.degree_changed(u, d)
         rec = self.recorder
@@ -656,12 +687,15 @@ class OrientationEngine:
         pending = self.pending
         if pending is None:
             self._refresh(u)
-            if self.audit_hooks:
-                audit(u)
         else:
             pending.pop(u, None)
             pending[u] = None
-            if self.audit_hooks:
+        if self.audit_hooks:
+            audit = (self._audit_post_increment if step > 0
+                     else self._audit_post_decrement)
+            if pending is None:
+                audit(u)
+            else:
                 self._audits_due.append((audit, u))
 
     def _refresh(self, u: int) -> None:
@@ -756,7 +790,7 @@ class OrientationEngine:
             e = scan(self, t, out_deg[t])
         if chain > self.last_chain:
             self.last_chain = chain
-        self._commit(t, out_deg[t] + 1, self._audit_post_increment)
+        self._commit(t, 1)
 
     def _delete_chain(self, u: int) -> None:
         """Restore the invariant after a copy out of u was removed: while
@@ -779,11 +813,14 @@ class OrientationEngine:
         out_deg = self.out_deg
         e_perc = self.e_perc
         e_tail = self.e_tail
+        top_bucket = self.top_bucket
+        bn_head = self.bn_head
         chain = 0
         while True:
-            x_ent = self.first_in_entry(u)
-            if x_ent < 0:
+            top = top_bucket[u]
+            if top < 0:
                 break
+            x_ent = bn_head[top]
             x = e_tail[x_ent]
             dx = out_deg[x]
             if e_perc[x_ent] != dx and self.pending is not None:
@@ -801,7 +838,7 @@ class OrientationEngine:
             u = x
         if chain > self.last_chain:
             self.last_chain = chain
-        self._commit(u, out_deg[u] - 1, self._audit_post_decrement)
+        self._commit(u, -1)
 
     # ``_scan(self, t, dt)``, one of the two below, picked in ``__init__``:
     # the entry of the out-neighbor the chain at t (out-degree dt, before

@@ -120,9 +120,9 @@ def snapshot(preset: str, audit_hooks: bool = False, lines=None) -> tuple:
 def test_golden_digest(preset):
     digests, notified, moves = snapshot(preset)
     assert digests == GOLDEN[preset]
-    # Rounding hears of each copy flip once, and of no other copy change:
-    # a pair being placed or drained is invisible to it.
-    assert notified == digests[2]
+    # Rounding hears of each majority crossing once, which reorients a
+    # visible pair, and of no other copy change.
+    assert notified == digests[4]
     assert moves == MOVES[preset]
 
 
@@ -199,7 +199,7 @@ def test_golden_digest_dense_churn():
         "simple-multiplicative",
         lines=generate("random", N, 2 * STEPS, seed=SEED, max_edges=6 * N))
     assert digests == DENSE_GOLDEN
-    assert notified == digests[2]
+    assert notified == digests[4]
 
 
 # Drifting density: sparse churn on n=48 while a 16-clique grows and then
@@ -233,7 +233,7 @@ def test_golden_digest_drifting_density(preset):
     lines = generate("drifting-density", DRIFT_N, 4000, seed=SEED, clique=16)
     digests, notified, moves = snapshot(preset, lines=lines)
     assert digests == DRIFT_GOLDEN[preset]
-    assert notified == digests[2]
+    assert notified == digests[4]
     assert moves == DRIFT_MOVES[preset]
 
 

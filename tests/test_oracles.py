@@ -190,6 +190,52 @@ def test_duality_and_oracle_agreement_sampled():
             assert subgraph_density(witness, edges) == rho
 
 
+def _quadratic_peel(n, edges):
+    """The O(n^2) greedy peel ``oracles._peel`` replaced, kept as its
+    reference: a linear scan for the least degree, least id among equals."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = [len(a) for a in adj]
+    alive = set(range(n))
+    core = [0] * n
+    order = []
+    m_left = len(edges)
+    best_m, best_k, best_at = m_left, n, 0
+    k = 0
+    while alive:
+        v = min(alive, key=lambda x: (deg[x], x))
+        if deg[v] > k:
+            k = deg[v]
+        core[v] = k
+        alive.remove(v)
+        order.append(v)
+        m_left -= deg[v]
+        for w in adj[v]:
+            if w in alive:
+                deg[w] -= 1
+        if m_left * best_k > best_m * len(alive):
+            best_m, best_k, best_at = m_left, len(alive), len(order)
+    return Fraction(best_m, best_k), sorted(order[best_at:]), core
+
+
+def test_heap_peel_matches_the_quadratic_reference():
+    # Same (density, vertices, core) as the reference on seeded random
+    # graphs from sparse to dense, and on the graph whose peel is not
+    # optimal.
+    rng = random.Random(2209)
+    for _ in range(300):
+        n = rng.randrange(3, 60)
+        m = rng.randrange(0, min(6 * n, n * (n - 1) // 2) + 1)
+        edges = _random_graph(rng, n, m)
+        rng.shuffle(edges)
+        assert oracles._peel(n, edges) == _quadratic_peel(n, edges)
+    edges = [(1, 6), (4, 9), (5, 6), (5, 7)]
+    assert oracles._peel(10, edges) == _quadratic_peel(10, edges)
+    assert oracles._peel(10, edges)[0] == Fraction(2, 3)
+
+
 def test_audit_fresh_stack_is_clean():
     stack = OrientationStack(OrientationConfig.fast_additive(16))
     assert audit_state(stack) == []

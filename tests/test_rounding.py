@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 
+import pytest
+
 from dynorient import (
     EventRecorder,
     OrientationConfig,
     OrientationStack,
     RoundedOrientation,
 )
-from dynorient.oracles import exact_arboricity
+from dynorient.oracles import audit_state, exact_arboricity
 
 from conftest import Fuzzer, clique_edges
 
@@ -62,6 +64,70 @@ def test_majority_crossing_direction_change():
     assert r.direction(1, 5) == (5, 1) and seen == [(5, 1)]
     r.counts_changed(1, 5, 1, 5)
     assert seen == [(5, 1)]                 # no further change
+
+
+def _hearing(stack, busy=None):
+    """Record, and forward, every ``counts_changed`` call the engine makes,
+    with the pair ``busy[0]`` names at the time of the call."""
+    heard = []
+    real = stack.rounding.counts_changed
+
+    def hear(*args):
+        heard.append(args if busy is None else (args, busy[0]))
+        real(*args)
+
+    stack.rounding.counts_changed = hear
+    return heard
+
+
+@pytest.mark.parametrize("b", [4, 5])
+def test_engine_tells_rounding_exactly_the_majority_crossings(b):
+    # Pair {2, 5} is driven copy by copy, through its ties, to all copies
+    # 5->2, then to all 2->5, then back to the counts the insert left.
+    # Rounding hears each flip that moves the majority (ties toward 2),
+    # with the final counts, and no other flip; placing and draining the
+    # copies make no call.
+    stack = OrientationStack(OrientationConfig(8, 1, b, 1, 1))
+    engine = stack.engine
+    heard = _hearing(stack)
+    stack.insert(2, 5)
+    start = engine.copy_counts(2, 5)
+    assert heard == [] and sum(start) == b
+    pid = engine.pairs[2 * 8 + 5]
+    want = []
+    for target in (0, b, start[0]):
+        while engine.copy_counts(2, 5)[0] != target:
+            cab, cba = engine.copy_counts(2, 5)
+            engine._flip_copy(2 * pid + (cab < target))
+            after = engine.copy_counts(2, 5)
+            if (cab >= cba) != (after[0] >= after[1]):
+                want.append((2, 5) + after)
+            assert heard == want
+            assert stack.rounding.direction(2, 5) == (
+                (2, 5) if after[0] >= after[1] else (5, 2))
+    assert len(want) == 2
+    stack.delete(2, 5)
+    assert heard == want
+    assert audit_state(stack) == []
+
+
+def test_every_call_reorients_and_none_names_the_pair_in_update(
+        any_preset_cfg):
+    # Each call the engine makes is a majority crossing of a visible pair,
+    # so it reorients the pair; no call names the pair whose copies the
+    # running insert places or the running delete drains.
+    stack = OrientationStack(any_preset_cfg)
+    busy = [None]
+    heard = _hearing(stack, busy)
+    for name in ("insert", "delete"):
+        def update(u, v, real=getattr(stack, name)):
+            busy[0] = (min(u, v), max(u, v))
+            real(u, v)
+            busy[0] = None
+        setattr(stack, name, update)
+    Fuzzer(stack, seed=61).run(400)
+    assert heard and len(heard) == stack.rounding.total_simple_flips
+    assert all(args[:2] != pair for args, pair in heard)
 
 
 def test_tie_breaks_toward_lexicographic_tail():

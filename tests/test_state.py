@@ -49,7 +49,7 @@ def _ring(engine, u):
     return [engine.e_head[e] for e in engine.out_entries(u)]
 
 
-def test_round_robin_take_basic_order():
+def test_ring_order_from_the_cursor():
     """Ring order from the cursor, which is the round-robin order."""
     stack = _stack32()
     _ring_of_three(stack)
@@ -62,7 +62,7 @@ def test_round_robin_take_basic_order():
     assert len(set(engine.out_entries(0))) == engine.out_sz[0] == 3
 
 
-def test_round_robin_take_single_entry():
+def test_ring_of_a_single_entry():
     stack = _stack32()
     aux = iter(range(10, 32))
     _bump_degree(stack, 1, aux)
@@ -73,7 +73,7 @@ def test_round_robin_take_single_entry():
     assert engine.rn_next[e] == e == engine.rn_prev[e]
 
 
-def test_round_robin_take_empty():
+def test_empty_ring_has_no_cursor():
     stack = _stack32()
     assert _ring(stack.engine, 5) == []
     assert stack.engine.cursor[5] == -1

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dynorient import OrientationConfig, WorkloadError
+from dynorient.cli import main as cli_main
 from dynorient.harness import bench, replay
 from dynorient.oracles import (
     exact_arboricity,
@@ -143,6 +144,26 @@ class TestReplay:
         assert result.query_lines[0] == "matching 0-1 2-3"
         assert result.query_lines[1].startswith("color 0 = ")
         assert result.query_lines[2].startswith("matvec 0 = ")
+
+    def test_audit_above_the_oracle_limit_counts_its_skipped_check(
+            self, tmp_path, capsys):
+        # At n = 61 > FLOW_LIMIT_DEFAULT the audit runs without the exact
+        # density comparison; the summary and the CLI line say so.
+        lines = ["n 61", "+ 0 1", "+ 1 60", "! audit"]
+        n, ops = parse_workload(lines)
+        result = replay(n, ops, OrientationConfig.fast_additive(n))
+        assert result.summary()["audits"] == 1
+        assert result.summary()["oracle_skipped"] == 1
+        # Within the limit the comparison runs.
+        n, ops = parse_workload(["n 60"] + lines[1:2] + ["+ 1 59", "! audit"])
+        result = replay(n, ops, OrientationConfig.fast_additive(n))
+        assert result.summary()["oracle_skipped"] == 0
+        wl = tmp_path / "w.txt"
+        wl.write_text("\n".join(lines) + "\n")
+        assert cli_main(["replay", str(wl)]) == 0
+        out = capsys.readouterr().out
+        assert "1 audits clean, 1 skipped the exact-density check" in out
+
 
 
 def test_bench_runs_presets_on_one_workload():
