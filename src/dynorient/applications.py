@@ -5,7 +5,9 @@ per-vertex bookkeeping whose update cost is dominated by the orientation's
 max out-degree: a maximal matching, a proper coloring with every color at
 most the vertex degree, a decomposition of the oriented edges into
 2 * max-out-degree forests, and an exactly-maintained symmetric
-matrix-vector product.
+matrix-vector product.  An application keeps the rounding layer's ``out``
+lists, not the layer, which holds it as a listener; so a dropped stack is
+freed by reference counting, with no cycle for the collector.
 
 Ordered dicts play the role of the doubly-linked neighbor lists: first
 element, insertion, and deletion are all O(1).
@@ -14,6 +16,7 @@ element, insertion, and deletion are all O(1).
 from __future__ import annotations
 
 import heapq
+import weakref
 
 from .errors import GraphUpdateError
 from .rounding import OrientationListener, RoundedOrientation
@@ -51,7 +54,7 @@ class MaximalMatching(OrientationListener):
 
     def __init__(self, rounding: RoundedOrientation):
         n = rounding.n
-        self.rounding = rounding
+        self.out = rounding.out
         self.mate = [-1] * n
         self.in_avail = [dict() for _ in range(n)]
         self.in_matched = [dict() for _ in range(n)]
@@ -99,7 +102,7 @@ class MaximalMatching(OrientationListener):
         """v changed matched/available status: re-file it at every head."""
         src, dst = (self.in_avail, self.in_matched) if self.mate[v] >= 0 \
             else (self.in_matched, self.in_avail)
-        for h in self.rounding.out[v]:
+        for h in self.out[v]:
             del src[h][v]
             dst[h][v] = None
 
@@ -110,7 +113,7 @@ class MaximalMatching(OrientationListener):
         if avail:
             self._match(u, next(iter(avail)))
             return
-        for w in self.rounding.out[u]:
+        for w in self.out[u]:
             if self.mate[w] < 0:
                 self._match(u, w)
                 return
@@ -146,7 +149,7 @@ class GreedyColoring(OrientationListener):
 
     def __init__(self, rounding: RoundedOrientation):
         n = rounding.n
-        self.rounding = rounding
+        self.out = rounding.out
         self.color = [0] * n
         self.degree = [0] * n
         self.taken = [dict() for _ in range(n)]
@@ -201,7 +204,7 @@ class GreedyColoring(OrientationListener):
                 heapq.heappush(self.free_heap[v], c)
 
     def _recolor(self, v: int) -> None:
-        out = self.rounding.out[v]
+        out = self.out[v]
         out_taken = {self.color[w] for w in out}
         heap = self.free_heap[v]
         taken = self.taken[v]
@@ -256,8 +259,9 @@ class ForestDecomposition(OrientationListener):
     """
 
     def __init__(self, rounding: RoundedOrientation):
-        self.rounding = rounding
-        self.slots: list[list] = [[] for _ in range(rounding.n)]
+        self.n = rounding.n
+        self.out = rounding.out
+        self.slots: list[list] = [[] for _ in range(self.n)]
         self.by_edge: dict[int, list] = {}   # key -> [tail, head, slot, side]
         rounding.register(self)
 
@@ -285,7 +289,7 @@ class ForestDecomposition(OrientationListener):
 
     def _key(self, u: int, v: int) -> int:
         a, b = (u, v) if u < v else (v, u)
-        return a * self.rounding.n + b
+        return a * self.n + b
 
     def _pick_side(self, rec: list) -> None:
         # The only cycle the new edge could close runs through its head's
@@ -317,7 +321,7 @@ class ForestDecomposition(OrientationListener):
 
     def violations(self, engine=None) -> list[str]:
         bad = []
-        n = self.rounding.n
+        n = self.n
         groups: dict[tuple, list] = {}
         for rec in self.by_edge.values():
             groups.setdefault((rec[2], rec[3]), []).append(rec)
@@ -327,7 +331,7 @@ class ForestDecomposition(OrientationListener):
                 if not uf.union(rec[0], rec[1]):
                     bad.append(f"forest ({i},{side}) contains a cycle")
                     break
-        limit = 2 * self.rounding.max_simple_out_degree()
+        limit = 2 * max(map(len, self.out), default=0)
         if len(groups) > limit:
             bad.append(f"{len(groups)} forests exceed the 2*max-out bound {limit}")
         for v, lst in enumerate(self.slots):
@@ -350,13 +354,16 @@ class MatVecProduct(OrientationListener):
     """
 
     def __init__(self, stack):
-        self.stack = stack
-        self.rounding = stack.rounding
-        n = self.rounding.n
+        # set_entry drives the stack's updates; the stack holds this
+        # application, so the link back is weak.
+        self.stack = weakref.proxy(stack)
+        rounding = stack.rounding
+        self.n = n = rounding.n
+        self.out = rounding.out
         self.a: dict[int, int] = {}
         self.x = [1] * n
         self.s = [0] * n
-        self.rounding.register(self)
+        rounding.register(self)
 
     # -- listener hooks -------------------------------------------------
 
@@ -388,21 +395,21 @@ class MatVecProduct(OrientationListener):
         elif old != 0 and val == 0:
             self.stack.delete(i, j)       # on_delete pops the value
         elif old != val and val != 0:
-            tail, head = self.rounding.direction(i, j)
+            tail, head = (i, j) if j in self.out[i] else (j, i)
             self.s[head] += (val - old) * self.x[tail]
             self.a[key] = val
 
     def set_x(self, j: int, val: int) -> None:
         delta = val - self.x[j]
         if delta:
-            for h in self.rounding.out[j]:
+            for h in self.out[j]:
                 self.s[h] += self.a[self._key(j, h)] * delta
             self.x[j] = val
 
     def query(self, i: int) -> int:
         total = self.s[i]
         x = self.x
-        for h in self.rounding.out[i]:
+        for h in self.out[i]:
             total += self.a[self._key(i, h)] * x[h]
         return total
 
@@ -410,7 +417,7 @@ class MatVecProduct(OrientationListener):
 
     def violations(self, engine) -> list[str]:
         bad = []
-        n = self.rounding.n
+        n = self.n
         dense = [0] * n
         for u, v in engine.edges():
             val = self.a[self._key(u, v)]
@@ -424,4 +431,4 @@ class MatVecProduct(OrientationListener):
 
     def _key(self, u: int, v: int) -> int:
         a, b = (u, v) if u < v else (v, u)
-        return a * self.rounding.n + b
+        return a * self.n + b

@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config import OrientationConfig, PRESET_EPS_DENSITY
-from .errors import ConfigError, CorruptionError
+from .config import OrientationConfig
+from .errors import CorruptionError
 
 
 @dataclass
@@ -112,22 +112,6 @@ class DensityTracker:
     def value(self) -> Fraction:
         """Raw estimate Delta(multigraph)/b, defined for every preset."""
         return Fraction(self.delta, self.cfg.b)
-
-    def estimate(self) -> Fraction:
-        """The (1+epsilon)-sandwich estimate; eps-density preset only."""
-        if self.cfg.preset != PRESET_EPS_DENSITY:
-            raise ConfigError(
-                "density estimate is only guaranteed under the eps-density "
-                f"preset (engine runs {self.cfg.preset!r})")
-        return self.value()
-
-    def extract(self) -> DensityReport:
-        """Extract an approximately densest vertex set (see module docs)."""
-        if self.cfg.preset != PRESET_EPS_DENSITY:
-            raise ConfigError(
-                "densest-subgraph extraction requires the eps-density preset "
-                f"(engine runs {self.cfg.preset!r})")
-        return self.report()
 
     def report(self) -> DensityReport:
         """Threshold-set construction at the current state, any preset."""

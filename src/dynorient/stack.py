@@ -10,8 +10,9 @@ from .applications import (
     MatVecProduct,
     MaximalMatching,
 )
-from .config import OrientationConfig
+from .config import OrientationConfig, PRESET_EPS_DENSITY
 from .density import DensityReport, DensityTracker
+from .errors import ConfigError
 from .rounding import RoundedOrientation
 from .state import OrientationEngine
 
@@ -49,9 +50,6 @@ class OrientationStack:
     def delete(self, u: int, v: int) -> None:
         self.engine.delete(u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.engine.has_edge(u, v)
-
     # -- queries -------------------------------------------------------------
 
     # A broken engine (an update raised part-way) answers no query: its
@@ -62,12 +60,21 @@ class OrientationStack:
         return self.density.value()
 
     def density_estimate(self) -> Fraction:
-        self.engine.check_sound()
-        return self.density.estimate()
+        """The (1+epsilon)-sandwich estimate; eps-density preset only."""
+        self._require_eps_density("density estimate is only guaranteed "
+                                  "under the eps-density preset")
+        return self.density.value()
 
     def extract_densest(self) -> DensityReport:
+        """An approximately densest vertex set; eps-density preset only."""
+        self._require_eps_density("densest-subgraph extraction requires "
+                                  "the eps-density preset")
+        return self.density.report()
+
+    def _require_eps_density(self, what: str) -> None:
         self.engine.check_sound()
-        return self.density.extract()
+        if self.cfg.preset != PRESET_EPS_DENSITY:
+            raise ConfigError(f"{what} (engine runs {self.cfg.preset!r})")
 
     def max_simple_out_degree(self) -> int:
         self.engine.check_sound()

@@ -57,9 +57,10 @@ or drained, where no orientation can satisfy the multiplicative invariant
 at all.  Suppressions are counted.
 
 An update may defer its ring refreshes to its end, so a recorded degree can
-lag inside it.  A deletion only commits -1s, so there it lags upward, and
-the one entry a deletion chain reads, the top of a head's in-buckets, is
-re-keyed when stale; see ``OrientationEngine._delete_chain``.
+lag inside it.  Inside a deferring update only two things re-key: a
+deletion chain, which re-keys the one entry it reads, the top of a head's
+in-buckets, when stale (see ``OrientationEngine._delete_chain``), and the
+flush; ``OrientationEngine._insert_chain`` says why that loses nothing.
 
 Everything is flat parallel lists indexed by small integer ids; these are the
 hottest loops in the package.
@@ -562,11 +563,6 @@ class OrientationEngine:
         bn_head[target] = eid
         e_bnode[eid] = target
 
-    def first_in_entry(self, v: int) -> int:
-        """Entry id of v's in-neighbor with the largest bucket key, or -1."""
-        top = self.top_bucket[v]
-        return self.bn_head[top] if top >= 0 else -1
-
     def in_entries(self, v: int):
         """All in-neighbor entries of v, bucket order (key descending)."""
         bn = self.top_bucket[v]
@@ -596,7 +592,9 @@ class OrientationEngine:
 
     def _add_copy(self, eid: int) -> None:
         """Add one copy to entry eid.  The first copy links the entry into
-        its tail's ring and its head's in-buckets."""
+        its tail's ring and its head's in-buckets; a later one re-keys it to
+        its tail's degree unless the update defers (see
+        ``_insert_chain``)."""
         t = self.e_tail[eid]
         dt = self.out_deg[t]
         cnt = self.e_cnt[eid]
@@ -604,15 +602,7 @@ class OrientationEngine:
         if cnt == 0:
             self._ring_insert(eid, t)
             self._bucket_attach(self.e_head[eid], eid, dt)
-        elif self.e_perc[eid] != dt:
-            self._rekey_joined(eid, t, dt)
-
-    def _rekey_joined(self, eid: int, t: int, dt: int) -> None:
-        """A copy joined entry eid, which already held copies and records
-        another degree than its tail t's out-degree dt: re-key the entry,
-        unless t waits for the flush, which re-keys it again."""
-        pending = self.pending
-        if pending is None or t not in pending:
+        elif self.pending is None and self.e_perc[eid] != dt:
             self.move_bucket(eid, dt)
 
     def _remove_copy(self, eid: int) -> None:
@@ -653,8 +643,8 @@ class OrientationEngine:
         if cnt == 0:
             self._ring_insert(rev, h)
             self._bucket_attach(t, rev, dh)
-        elif self.e_perc[rev] != dh:
-            self._rekey_joined(rev, h, dh)
+        elif self.pending is None and self.e_perc[rev] != dh:
+            self.move_bucket(rev, dh)
         e = eid & -2
         d = e_cnt[e] - e_cnt[e + 1]
         if eid == e:
@@ -765,9 +755,15 @@ class OrientationEngine:
         degree (scans compare exact degrees), and while every ring fits in
         the window a refresh walks the whole ring and leaves the cursor
         where it was, so waiting changes no recorded degree and no cursor.
-        The scan's and the join's re-keys of a pending vertex's entries are
-        skipped: the flush redoes them, and at once they would find nothing
-        stale.
+
+        Inside a deferring update only the delete chain's top read and the
+        flush re-key; the scan and a copy joining a live entry do not.  An
+        update defers only while every ring fits the window, so every
+        recorded degree was exact when it began; only ``_commit`` changes
+        ``out_deg`` and it puts the vertex in ``pending``; and every re-key
+        writes the tail's exact degree.  So an entry that records another
+        degree than its tail's has its tail in ``pending``, and the flush
+        re-keys it.
 
         Last-commit order is the order of each entry's last bucket move had
         every commit refreshed at once, so the bucket sibling order, which
@@ -872,9 +868,8 @@ class OrientationEngine:
     def _scan_window(self, t: int, dt: int) -> int:
         # Perceived mode: first violation within the window from the cursor,
         # checked against exact degrees; every entry passed over learns t's
-        # degree, unless t waits for the flush, which re-keys its whole ring.
-        pending = self.pending
-        rekey = pending is None or t not in pending
+        # degree, unless the update defers (see _insert_chain).
+        rekey = self.pending is None
         lhs, rhs, add = self.guard
         lhs *= dt + 1
         out_deg = self.out_deg

@@ -1,5 +1,6 @@
 """Matching, coloring, forest decomposition, matrix-vector product."""
 
+import gc
 import random
 
 import pytest
@@ -213,3 +214,24 @@ def test_applications_compose_over_long_fuzz():
         if i % 100 == 0:
             for app in stack.attached_apps():
                 assert app.violations(stack.engine) == []
+
+
+@pytest.mark.parametrize("app", [None, "matching", "coloring", "forests",
+                                 "matvec"])
+def test_dropped_stack_leaves_no_cycle(app):
+    # An application holds the rounding layer's adjacency, not the layer
+    # that lists it, and the matrix-vector product reaches its stack only
+    # weakly; so reference counting alone frees a dropped stack.
+    gc.collect()
+    gc.disable()
+    try:
+        stack = _stack(n=200, preset="simple-multiplicative",
+                       **({app: True} if app else {}))
+        for v in range(1, 200):
+            stack.insert(v - 1, v)
+        if app == "matvec":
+            stack.matvec.set_entry(0, 2, 5)
+        del stack
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -4,6 +4,8 @@ The deferral, fail-stop and audit-contract tests also run the exact presets,
 which share the engine's update path.
 """
 
+import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -17,12 +19,12 @@ from dynorient import (
 from dynorient.oracles import audit_state
 from dynorient.workload import generate, parse_workload
 
-from conftest import Fuzzer
+from conftest import ALL_PRESETS, Fuzzer, clique_edges
 
 
 def _absent_pair(stack, n):
     return next((u, v) for u in range(n) for v in range(u + 1, n)
-                if not stack.has_edge(u, v))
+                if not stack.engine.has_edge(u, v))
 
 
 def _assert_fail_stop(stack, op):
@@ -40,7 +42,7 @@ def _assert_fail_stop(stack, op):
                   stack.extract_densest, stack.max_simple_out_degree):
         with pytest.raises(CorruptionError, match=f"op {op} raised"):
             query()
-    assert not stack.has_edge(u, v)
+    assert not stack.engine.has_edge(u, v)
     assert engine.updates == op
     bad = audit_state(stack)
     assert bad and bad[0].startswith(f"op {op} raised RuntimeError")
@@ -61,7 +63,7 @@ def test_simple_insert_emits_exactly_b_copy_adds():
     Fuzzer(stack, seed=5).run(40)
     rec.clear()
     u, v = next((u, v) for u in range(16) for v in range(u + 1, 16)
-                if not stack.has_edge(u, v))
+                if not stack.engine.has_edge(u, v))
     stack.insert(u, v)
     kinds = [e.kind for e in rec.events]
     assert kinds.count("copy_added") == 6  # b = 6 for this preset
@@ -166,7 +168,7 @@ def test_deletion_candidate_sits_in_the_maximal_bucket():
     engine = stack.engine
     key = cfg.bucket_index
     for v in range(16):
-        top = engine.first_in_entry(v)
+        top = next(engine.in_entries(v), -1)
         if top >= 0:
             top_key = key(engine.e_perc[top])
             for e in engine.in_entries(v):
@@ -259,3 +261,89 @@ def test_every_committed_step_is_audited(preset):
     # suppressions.
     skipped = 832 if preset == "fast-multiplicative" else 0
     assert engine.audits_skipped == skipped
+
+
+STALE_TAIL_CASES = [(name, None) for name, _ in ALL_PRESETS] + [
+    ("fast-additive", 4), ("fast-multiplicative", 4)]
+
+
+@pytest.mark.parametrize("preset,width", STALE_TAIL_CASES,
+                         ids=[f"{p}-{w}" for p, w in STALE_TAIL_CASES])
+def test_a_stale_entry_inside_a_deferral_has_a_pending_tail(preset, width):
+    # The engine re-keys nothing inside a deferring update but the delete
+    # chain's top read and the flush.  That is sound only if every entry
+    # that records another degree than its tail's out-degree has its tail
+    # in ``pending``, so the flush re-keys it; check that after every flip
+    # and every commit of a deferring update.
+    cfg = dict(ALL_PRESETS)[preset](30)
+    if width is not None:
+        cfg.rr_width = width
+    stack = OrientationStack(cfg)
+    engine = stack.engine
+    e_cnt, e_tail, e_perc = engine.e_cnt, engine.e_tail, engine.e_perc
+    out_deg = engine.out_deg
+    stale_seen = 0
+
+    def checked(fn):
+        def call(*args):
+            nonlocal stale_seen
+            fn(*args)
+            pending = engine.pending
+            if pending is None:
+                return
+            for eid, cnt in enumerate(e_cnt):
+                if cnt and e_perc[eid] != out_deg[e_tail[eid]]:
+                    assert e_tail[eid] in pending, (eid, engine.updates)
+                    stale_seen += 1
+        return call
+
+    engine._flip_copy = checked(engine._flip_copy)
+    engine._commit = checked(engine._commit)
+    Fuzzer(stack, seed=3).run(400)
+    assert stale_seen > 0
+    assert audit_state(stack) == []
+
+
+def test_commits_without_a_deferral_audit_at_once():
+    # With rings longer than the window no update defers, so each commit
+    # refreshes and, in an audit build, runs its staleness-lemma audit at
+    # once rather than at a flush.  Custom theta=1, b=1, eta=99/100 with
+    # the window cut to 16: a K_60 keeps rings of about 30.
+    n = 400
+    cfg = OrientationConfig(n, Fraction(99, 100), 1, 1, theta=1)
+    cfg.rr_width = 16
+    stack = OrientationStack(cfg, audit_hooks=True)
+    engine = stack.engine
+    rng = random.Random(11)
+    edges = set(clique_edges(60))
+    while len(edges) < len(clique_edges(60)) + 800:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    counts = {"commits": 0, "at once": 0, "audits": 0}
+    commit = engine._commit
+
+    def counted_commit(u, step):
+        counts["commits"] += 1
+        counts["at once"] += engine.pending is None
+        commit(u, step)
+
+    def counted(audit):
+        def call(u):
+            counts["audits"] += 1
+            audit(u)
+        return call
+
+    engine._commit = counted_commit
+    engine._audit_post_increment = counted(engine._audit_post_increment)
+    engine._audit_post_decrement = counted(engine._audit_post_decrement)
+    for u, v in edges:
+        stack.insert(u, v)
+    for u, v in edges[::3]:
+        stack.delete(u, v)
+    assert engine.long_rings > 0
+    assert counts["at once"] > 0
+    assert counts["audits"] == counts["commits"]
+    assert engine.audits_skipped == 0
+    assert audit_state(stack) == []

@@ -196,7 +196,7 @@ class TestMoveBucket:
         assert check(engine) == []
         engine.move_bucket(ent[3], 5)      # alone upward past two buckets
         assert self._chain_keys(engine, 0) == [5, 3, 2]
-        assert engine.first_in_entry(0) == ent[3]
+        assert next(engine.in_entries(0), -1) == ent[3]
         assert check(engine) == []
 
         for e in ent.values():
@@ -219,7 +219,7 @@ class TestMoveBucket:
         # Up from a shared bucket, past 3, into the bucket of key 5.
         engine.move_bucket(ent[3], 5)
         assert engine.e_bnode[ent[3]] == engine.e_bnode[ent[1]]
-        assert engine.first_in_entry(0) == ent[3]
+        assert next(engine.in_entries(0), -1) == ent[3]
         # Down from a shared bucket, past 3, into the bucket of key 1.
         engine.move_bucket(ent[1], 1)
         assert engine.e_bnode[ent[1]] == engine.e_bnode[ent[4]]

@@ -15,11 +15,24 @@ from dynorient.oracles import (
     exact_arboricity,
     exact_density,
     exact_density_enum,
+    exact_min_max_outdegree,
     subgraph_density,
 )
 from dynorient.workload import generate, load_workload, parse_workload
 
 from conftest import clique_edges
+
+
+def _final_edges(ops):
+    """The edge set a workload leaves, as sorted (a, b) with a < b."""
+    edges = set()
+    for op in ops:
+        e = (min(op.u, op.v), max(op.u, op.v))
+        if op.kind == "+":
+            edges.add(e)
+        elif op.kind == "-":
+            edges.discard(e)
+    return sorted(edges)
 
 
 def _k4_workload():
@@ -195,12 +208,7 @@ def test_cli_end_to_end(tmp_path):
     assert r.returncode == 0 and r.stdout.startswith("density ")
     # The printed witness reaches the printed density, the exact maximum.
     n, ops = load_workload(wl)
-    edges = set()
-    for op in ops:
-        if op.kind == "+":
-            edges.add((min(op.u, op.v), max(op.u, op.v)))
-        elif op.kind == "-":
-            edges.discard((min(op.u, op.v), max(op.u, op.v)))
+    edges = _final_edges(ops)
     rho_text, witness_text = r.stdout[len("density "):].split(" witness")
     rho = Fraction(rho_text)
     assert rho == exact_density_enum(n, edges) > 0
@@ -232,3 +240,60 @@ def test_replay_determinism_with_event_log(tmp_path):
                 for row in csv_path.read_text().splitlines()]
         outs.append((rows, log_path.read_text()))
     assert outs[0] == outs[1]
+
+
+def test_cli_subcommands_in_process(tmp_path, capsys):
+    # generate, bench and oracle through cli.main itself; the subprocess
+    # test above checks the exit codes of a separate interpreter.
+    wl = tmp_path / "w.txt"
+    assert cli_main(["generate", "--kind", "drifting-density", "--n", "16",
+                     "--steps", "120", "--seed", "4", "--clique", "5",
+                     "--out", str(wl)]) == 0
+    assert wl.read_text().splitlines() == generate(
+        "drifting-density", 16, 120, seed=4, clique=5)
+    bench_csv = tmp_path / "b.csv"
+    assert cli_main(["bench", str(wl), "--out", str(bench_csv)]) == 0
+    header = bench_csv.read_text().splitlines()[0]
+    assert header == ("op_index,op_kind,copy_flips_simple-additive,"
+                      "max_outdeg_simple-additive,copy_flips_fast-additive,"
+                      "max_outdeg_fast-additive")
+    capsys.readouterr()
+    n, ops = load_workload(wl)
+    edges = _final_edges(ops)
+    rho, _ = exact_density(n, edges)
+    k, _ = exact_min_max_outdegree(n, edges)
+    for quantity, want in (("density", f"density {rho} witness "),
+                           ("orient", f"min-max-outdegree {k}\n"),
+                           ("arboricity",
+                            f"arboricity {exact_arboricity(n, edges)}\n")):
+        assert cli_main(["oracle", quantity, str(wl)]) == 0
+        assert capsys.readouterr().out.startswith(want)
+    assert cli_main(["oracle", "density", str(wl), "--limit", "8"]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_replay_answers_densest():
+    # A K_5 among a path: extraction under eps-density returns the clique.
+    lines = (["n 12"] + [f"+ {u} {v}" for u, v in clique_edges(5)]
+             + [f"+ {v} {v + 1}" for v in range(5, 11)] + ["? densest"])
+    n, ops = parse_workload(lines)
+    out = io.StringIO()
+    result = replay(n, ops, OrientationConfig.eps_density(n, 0.5),
+                    query_out=out)
+    [line] = result.query_lines
+    assert out.getvalue() == line + "\n"
+    word, *vertices = line.split()
+    assert word == "densest" and sorted(map(int, vertices)) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eps_density_sandwich_at_n_500(seed):
+    # Every audit compares the estimate with the exact density, which must
+    # sandwich it: rho <= estimate <= (1 + eps) * rho.  replay raises on a
+    # violation.
+    n, ops = parse_workload(generate("random", 500, 3000, seed=seed))
+    result = replay(n, ops, OrientationConfig.eps_density(n, 0.5),
+                    audit_every=500, oracle_limit=500)
+    s = result.summary()
+    assert s["audits"] == 6
+    assert s["oracle_skipped"] == 0
