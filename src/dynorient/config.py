@@ -181,7 +181,9 @@ class OrientationConfig:
 
         thresholds[j] is the smallest integer d with d >= (1 + slack/64)^j,
         exact, so bucket boundaries never flicker.  The table covers every
-        degree reachable under the fixed capacity (d <= (N-1)*b).
+        degree reachable under the fixed capacity (d <= (N-1)*b).  The
+        perceived-degree engine walks it once, when it is built, into its
+        per-degree key table.
 
         base = num/den is in lowest terms with den > 1, so base^j is never an
         integer for j >= 1 and its ceiling is its floor plus one.  The floor
@@ -220,7 +222,9 @@ class OrientationConfig:
         The rightmost threshold <= d, found by ``bisect_right`` on the
         sorted table.  Zero (and anything below it) maps to the reserved
         sentinel index -1, because the geometric buckets start at
-        thresholds[0] = 1.
+        thresholds[0] = 1.  This is the definition; the engine reads the
+        same key from the table it builds once per degree, and never calls
+        this on an update.
         """
         return bisect_right(self.bucket_thresholds(), d) - 1
 

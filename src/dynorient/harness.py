@@ -17,7 +17,7 @@ import time
 from typing import Optional
 
 from .config import OrientationConfig, PRESET_EPS_DENSITY
-from .errors import GraphUpdateError, WorkloadError
+from .errors import ConfigError, GraphUpdateError, WorkloadError
 from .events import KIND_NAMES
 from .oracles import FLOW_LIMIT_DEFAULT, audit_state, exact_density
 from .stack import OrientationStack
@@ -164,8 +164,6 @@ def replay(capacity: int, ops: list[WorkloadOp], cfg: OrientationConfig,
 
 
 def _answer_query(stack: OrientationStack, op: WorkloadOp) -> str:
-    from .errors import ConfigError
-
     try:
         if op.kind == "density":
             return f"density {stack.density_estimate()}"

@@ -26,7 +26,7 @@ simple out-degree).
 
 from __future__ import annotations
 
-from .errors import CorruptionError, MissingEdgeError
+from .errors import CorruptionError
 
 
 class OrientationListener:
@@ -66,14 +66,6 @@ class RoundedOrientation:
 
     def max_simple_out_degree(self) -> int:
         return self._max
-
-    def direction(self, u: int, v: int) -> tuple:
-        """(tail, head) for a live edge {u, v}."""
-        if v in self.out[u]:
-            return u, v
-        if u in self.out[v]:
-            return v, u
-        raise MissingEdgeError(f"edge ({u}, {v}) not present")
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.out[u] or u in self.out[v]

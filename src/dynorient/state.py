@@ -16,7 +16,8 @@ empty one is in neither:
   recorded (exact or perceived) out-degree in O(1).  The chain is the only
   index of its buckets: a new entry finds its bucket by walking down from
   the top, and a re-key walks from the entry's current bucket, which a
-  refresh moves across O(1) buckets.
+  refresh moves across O(1) buckets.  Only ``_bn_splice`` links a bucket
+  node into a chain and only ``_bn_unlink`` takes an emptied one out.
 
 Insertion routes each new copy and, while the chain head would violate the
 invariant against the out-neighbor its scan picks, flips that copy and
@@ -40,8 +41,10 @@ all fixed when the engine is built:
 * The bucket key.  Exact mode keys an in-entry by its recorded degree
   itself.  Perceived mode keys it geometrically: perceived degree p sits in
   bucket j iff (1 + slack/64)^j <= p < (1 + slack/64)^(j+1), so a refresh
-  moves it by O(1) buckets.  Deletion reads its flip candidate and its
-  guard from these recorded values in both modes.
+  moves it by O(1) buckets.  Either way the key of degree d is
+  ``key_of[d]``, a table the engine builds once over every degree a vertex
+  can reach.  Deletion reads its flip candidate and its guard from these
+  recorded values in both modes.
 * The guard.  Exact mode flips on the invariant itself.  Perceived mode
   uses half the slack and +theta instead of +2*theta; the slack budget left
   over absorbs the staleness, so the terminal invariant with the full slack
@@ -69,7 +72,6 @@ hottest loops in the package.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 
 from .config import OrientationConfig
 from . import events as ev
@@ -120,9 +122,22 @@ class OrientationEngine:
         # cycle, and a dropped engine would wait for the cyclic collector.
         self._scan = (OrientationEngine._scan_window if fast
                       else OrientationEngine._scan_argmin)
-        # Sorted geometric bucket boundaries in perceived mode, None when
-        # buckets are keyed by the exact degree; see _bucket_key.
-        self.thresholds = cfg.bucket_thresholds() if fast else None
+        # key_of[d]: the bucket key of recorded degree d, for every degree
+        # 0..(N-1)*b a vertex can reach.  Exact mode keys by the degree
+        # itself; perceived mode by cfg.bucket_index(d), tabulated by one
+        # walk over the sorted thresholds (a degree below thresholds[j],
+        # and not below those before it, has key j - 1).
+        size = (n - 1) * cfg.b + 1
+        if fast:
+            key_of = [0] * size
+            d = 0
+            for j, t in enumerate(cfg.bucket_thresholds() + [size]):
+                while d < t:
+                    key_of[d] = j - 1
+                    d += 1
+        else:
+            key_of = list(range(size))
+        self.key_of = key_of
         # Flip guard (lhs, rhs, add): flip when d * lhs > rhs * d' + add.
         # Perceived mode uses half the slack and theta.
         if fast:
@@ -385,32 +400,54 @@ class OrientationEngine:
     # In-bucket mechanics.
     # ------------------------------------------------------------------
 
-    def _bucket_key(self, perceived: int) -> int:
-        # Same expression as cfg.bucket_index, inlined in the hot callers.
-        th = self.thresholds
-        return perceived if th is None else bisect_right(th, perceived) - 1
-
-    def _bn_alloc(self, key: int) -> int:
+    def _bn_splice(self, v: int, key: int, above: int, below: int) -> int:
+        """Link a fresh bucket node keyed ``key`` into v's chain between the
+        nodes ``above`` and ``below`` (-1 past either end), reusing a freed
+        node if there is one; return it."""
+        bn_key = self.bn_key
+        bn_prev = self.bn_prev
+        bn_next = self.bn_next
         free = self._bn_free
         if free:
             bn = free.pop()
-            self.bn_key[bn] = key
+            bn_key[bn] = key
+            bn_prev[bn] = above
+            bn_next[bn] = below
             self.bn_head[bn] = -1
         else:
-            bn = len(self.bn_key)
-            self.bn_key.append(key)
-            self.bn_prev.append(-1)
-            self.bn_next.append(-1)
+            bn = len(bn_key)
+            bn_key.append(key)
+            bn_prev.append(above)
+            bn_next.append(below)
             self.bn_head.append(-1)
+        if above >= 0:
+            bn_next[above] = bn
+        else:
+            self.top_bucket[v] = bn
+        if below >= 0:
+            bn_prev[below] = bn
         return bn
+
+    def _bn_unlink(self, v: int, bn: int) -> None:
+        """Unlink the emptied bucket node bn from v's chain and free it."""
+        bn_prev = self.bn_prev
+        bn_next = self.bn_next
+        bp = bn_prev[bn]
+        bq = bn_next[bn]
+        if bp >= 0:
+            bn_next[bp] = bq
+        else:
+            self.top_bucket[v] = bq
+        if bq >= 0:
+            bn_prev[bq] = bp
+        self._bn_free.append(bn)
 
     def _bucket_attach(self, v: int, eid: int, perceived: int) -> None:
         """Place entry eid (an in-neighbor record of v) at the front of the
         bucket for its key: walk v's descending chain down from the top to
         the bucket holding the key, or splice a new one into the slot."""
         self.e_perc[eid] = perceived
-        th = self.thresholds
-        key = perceived if th is None else bisect_right(th, perceived) - 1
+        key = self.key_of[perceived]
         bn_key = self.bn_key
         bn_next = self.bn_next
         above = -1
@@ -419,16 +456,7 @@ class OrientationEngine:
             above = bn
             bn = bn_next[bn]
         if bn < 0 or bn_key[bn] != key:
-            below = bn
-            bn = self._bn_alloc(key)
-            self.bn_prev[bn] = above
-            bn_next[bn] = below
-            if above >= 0:
-                bn_next[above] = bn
-            else:
-                self.top_bucket[v] = bn
-            if below >= 0:
-                self.bn_prev[below] = bn
+            bn = self._bn_splice(v, key, above, bn)
         head = self.bn_head[bn]
         self.bk_prev[eid] = -1
         self.bk_next[eid] = head
@@ -451,24 +479,10 @@ class OrientationEngine:
             self.bk_prev[nxt] = prv
         self.e_bnode[eid] = -1
         if self.bn_head[bn] < 0:
-            # Bucket emptied: unlink the node from the chain.
-            bp = self.bn_prev[bn]
-            bq = self.bn_next[bn]
-            if bp >= 0:
-                self.bn_next[bp] = bq
-            else:
-                self.top_bucket[v] = bq
-            if bq >= 0:
-                self.bn_prev[bq] = bp
-            self._bn_free.append(bn)
+            self._bn_unlink(v, bn)
 
-    def move_bucket(self, eid: int, new_perceived: int,
-                    new_key: int | None = None) -> None:
+    def move_bucket(self, eid: int, new_perceived: int) -> None:
         """Re-key an in-neighbor entry after its recorded degree changed.
-
-        ``new_key`` is the bucket key of ``new_perceived`` when the caller
-        already has it (a refresh computes it once for all the entries it
-        moves); it is derived here when omitted.
 
         Same-bucket moves only store the value.  Cross-bucket moves walk
         the chain from the entry's current bucket toward the new key and
@@ -476,17 +490,16 @@ class OrientationEngine:
         a key across O(1) buckets, so the walk is short.  An entry alone in
         its bucket, moving to a key no bucket holds yet with no bucket lying
         between the two keys, keeps its node: the node is re-keyed in place,
-        since the chain order is already right.
+        since the chain order is already right.  Otherwise a new node is
+        spliced into the slot before the entry leaves its old one, which is
+        unlinked if that empties it.
         """
         e_bnode = self.e_bnode
         bn = e_bnode[eid]
         if bn < 0:
             raise CorruptionError("move_bucket on an unattached entry")
         self.e_perc[eid] = new_perceived
-        if new_key is None:
-            th = self.thresholds
-            new_key = (new_perceived if th is None
-                       else bisect_right(th, new_perceived) - 1)
+        new_key = self.key_of[new_perceived]
         bn_key = self.bn_key
         old_key = bn_key[bn]
         if new_key == old_key:
@@ -517,28 +530,8 @@ class OrientationEngine:
             if p == bn and prv < 0 and nxt < 0:
                 bn_key[bn] = new_key
                 return
-            # Splice a fresh bucket node into the slot before the detach
-            # below can recycle the current one.
-            free = self._bn_free
-            if free:
-                target = free.pop()
-                bn_key[target] = new_key
-                bn_head[target] = -1
-                bn_prev[target] = above
-                bn_next[target] = below
-            else:
-                target = len(bn_key)
-                bn_key.append(new_key)
-                bn_prev.append(above)
-                bn_next.append(below)
-                bn_head.append(-1)
-            if above >= 0:
-                bn_next[above] = target
-            else:
-                self.top_bucket[v] = target
-            if below >= 0:
-                bn_prev[below] = target
-        # Detach from the current bucket, unlinking it if it empties.
+            # Splice before the detach below can recycle the current node.
+            target = self._bn_splice(v, new_key, above, below)
         if prv >= 0:
             bk_next[prv] = nxt
         else:
@@ -546,15 +539,7 @@ class OrientationEngine:
         if nxt >= 0:
             bk_prev[nxt] = prv
         elif prv < 0:
-            bp = bn_prev[bn]
-            bq = bn_next[bn]
-            if bp >= 0:
-                bn_next[bp] = bq
-            else:
-                self.top_bucket[v] = bq
-            if bq >= 0:
-                bn_prev[bq] = bp
-            self._bn_free.append(bn)
+            self._bn_unlink(v, bn)
         head = bn_head[target]
         bk_prev[eid] = -1
         bk_next[eid] = head
@@ -691,24 +676,20 @@ class OrientationEngine:
     def _refresh(self, u: int) -> None:
         """Tell the next ``window`` out-neighbors of u, from its cursor,
         u's current out-degree d, leaving the cursor after the last one
-        told.
-
-        The bucket key of d is computed once; only entries whose recorded
-        degree differs are moved, each through ``self.move_bucket``.
+        told.  Only entries whose recorded degree differs are moved, each
+        through ``self.move_bucket``.
         """
         d = self.out_deg[u]
         k = self.out_sz[u]
         if self.window < k:
             k = self.window
-        th = self.thresholds
-        key = d if th is None else bisect_right(th, d) - 1
         move = self.move_bucket
         e_perc = self.e_perc
         rn_next = self.rn_next
         e = self.cursor[u]
         for _ in range(k):
             if e_perc[e] != d:
-                move(e, d, key)
+                move(e, d)
             e = rn_next[e]
         self.cursor[u] = e
 
@@ -1042,7 +1023,9 @@ class OrientationEngine:
             bad.append("some live entries are missing from rings")
         if self.long_rings != sum(sz > self.window for sz in self.out_sz):
             bad.append(f"long-ring count {self.long_rings} is stale")
-        # Bucket integrity.
+        # Bucket integrity.  A recorded degree outside the key table would
+        # read a wrong key (a negative index) or none.
+        key_of = self.key_of
         bucket_seen = set()
         for v in range(n):
             bn = self.top_bucket[v]
@@ -1069,10 +1052,13 @@ class OrientationEngine:
                         bad.append(f"entry {e} bucket backlink broken")
                     if self.bk_prev[e] != prev_e:
                         bad.append(f"entry {e} sibling backlink broken")
-                    expected = self._bucket_key(self.e_perc[e])
-                    if expected != key:
+                    p = self.e_perc[e]
+                    if not 0 <= p < len(key_of):
+                        bad.append(f"entry {e} records degree {p}, outside "
+                                   f"0..{len(key_of) - 1}")
+                    elif key_of[p] != key:
                         bad.append(
-                            f"entry {e} in bucket {key}, expected {expected}")
+                            f"entry {e} in bucket {key}, expected {key_of[p]}")
                     prev_e = e
                     e = self.bk_next[e]
                 prev_key = key

@@ -188,8 +188,8 @@ def test_delete_chain_flips_toward_a_true_maximum(preset):
             flips += 1
             x = e_tail[eid]
             assert engine.e_perc[eid] == out_deg[x]
-            top = engine._bucket_key(out_deg[x])
-            assert all(engine._bucket_key(out_deg[e_tail[e]]) <= top
+            top = engine.key_of[out_deg[x]]
+            assert all(engine.key_of[out_deg[e_tail[e]]] <= top
                        for e in engine.in_entries(engine.e_head[eid]))
         flip_copy(eid)
 

@@ -266,6 +266,12 @@ def test_audit_flags_injected_corruption():
     assert audit_state(stack)
     engine.e_perc[eid] -= 1
     assert audit_state(stack) == []
+    # a recorded degree outside the key table, below or above it
+    for bad_perc in (-1, len(engine.key_of)):
+        saved, engine.e_perc[eid] = engine.e_perc[eid], bad_perc
+        assert any("outside" in line for line in audit_state(stack))
+        engine.e_perc[eid] = saved
+    assert audit_state(stack) == []
     # a rounded edge reversed against its copies' majority
     out = stack.rounding.out
     tail = next(u for u in range(16) if out[u])

@@ -1,5 +1,7 @@
 """Ring mechanics, bucket moves, structural audits, event reconstruction."""
 
+from fractions import Fraction
+
 import pytest
 
 from dynorient import (
@@ -15,6 +17,12 @@ from dynorient import (
 from dynorient.oracles import audit_state
 
 from conftest import Fuzzer
+
+
+def _base_101_cfg():
+    """A perceived-mode config with bucket base 1.01."""
+    return OrientationConfig(capacity=1200, eta=Fraction(16, 5), b=5,
+                             gamma=1, theta=1)
 
 
 def _stack32():
@@ -133,10 +141,7 @@ class TestMoveBucket:
     def test_geometric_refresh_moves_few_buckets(self):
         # A perceived value growing by at most the bucket base crosses O(1)
         # boundaries, which is what keeps refresh splices constant-time.
-        from fractions import Fraction
-
-        cfg = OrientationConfig(capacity=1200, eta=Fraction(16, 5), b=5,
-                                gamma=1, theta=1)  # bucket base 1.01
+        cfg = _base_101_cfg()
         base = 1 + cfg.slack / 64
         # Degrees large enough that one bucket spans at least one integer;
         # below that, integer steps hop across empty buckets and the splice
@@ -235,6 +240,31 @@ class TestMoveBucket:
         engine._bucket_detach(engine.e_head[eid], eid)
         with pytest.raises(CorruptionError):
             engine.move_bucket(eid, 3)
+
+
+def _check_key_table(cfg):
+    # One key per degree 0..(N-1)*b: the degree itself in exact mode, the
+    # reference cfg.bucket_index in perceived mode.
+    engine = OrientationStack(cfg).engine
+    size = (cfg.capacity - 1) * cfg.b + 1
+    assert len(engine.key_of) == size
+    if cfg.is_fast():
+        assert engine.key_of == [cfg.bucket_index(d) for d in range(size)]
+    else:
+        assert engine.key_of == list(range(size))
+
+
+def test_key_table_matches_bucket_index(any_preset_cfg):
+    _check_key_table(any_preset_cfg)
+
+
+def test_key_table_with_repeated_thresholds():
+    # Base 1.01: many low thresholds repeat, so their degrees take the key
+    # of the last threshold of each run.
+    cfg = _base_101_cfg()
+    ts = cfg.bucket_thresholds()
+    assert len(set(ts)) < len(ts)
+    _check_key_table(cfg)
 
 
 def test_full_state_audit_clean_after_fuzz(any_preset_cfg):
