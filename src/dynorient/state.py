@@ -499,10 +499,10 @@ class OrientationEngine:
         if bn < 0:
             raise CorruptionError("move_bucket on an unattached entry")
         self.e_perc[eid] = new_perceived
-        new_key = self.key_of[new_perceived]
+        key = self.key_of[new_perceived]
         bn_key = self.bn_key
         old_key = bn_key[bn]
-        if new_key == old_key:
+        if key == old_key:
             return
         v = self.e_head[eid]
         bn_prev = self.bn_prev
@@ -512,26 +512,27 @@ class OrientationEngine:
         bk_prev = self.bk_prev
         nxt = bk_next[eid]
         prv = bk_prev[eid]
-        # Walk from the current bucket toward new_key while the next bucket
-        # lies strictly between; new_key's slot is then (above, below), and
-        # that next bucket, ``target``, holds new_key if any bucket does.
+        # Walk from the current bucket toward the new key while the next
+        # bucket lies strictly between; the key's slot is then (above,
+        # below), and that next bucket, ``target``, holds the key if any
+        # bucket does.
         p = bn
-        if new_key > old_key:
-            while bn_prev[p] >= 0 and bn_key[bn_prev[p]] < new_key:
+        if key > old_key:
+            while bn_prev[p] >= 0 and bn_key[bn_prev[p]] < key:
                 p = bn_prev[p]
             above, below = bn_prev[p], p
             target = above
         else:
-            while bn_next[p] >= 0 and bn_key[bn_next[p]] > new_key:
+            while bn_next[p] >= 0 and bn_key[bn_next[p]] > key:
                 p = bn_next[p]
             above, below = p, bn_next[p]
             target = below
-        if target < 0 or bn_key[target] != new_key:
+        if target < 0 or bn_key[target] != key:
             if p == bn and prv < 0 and nxt < 0:
-                bn_key[bn] = new_key
+                bn_key[bn] = key
                 return
             # Splice before the detach below can recycle the current node.
-            target = self._bn_splice(v, new_key, above, below)
+            target = self._bn_splice(v, key, above, below)
         if prv >= 0:
             bk_next[prv] = nxt
         else:
