@@ -25,8 +25,8 @@ from .workload import WorkloadOp
 
 CSV_COLUMNS = [
     "op_index", "op_kind", "copy_flips", "simple_flips", "chain_length",
-    "max_outdeg_simple", "delta_Gb", "density_estimate", "oracle_density",
-    "wall_nanos",
+    "scan_steps", "suppressed", "max_outdeg_simple", "delta_Gb",
+    "density_estimate", "oracle_density", "wall_nanos",
 ]
 
 
@@ -117,8 +117,7 @@ def replay(capacity: int, ops: list[WorkloadOp], cfg: OrientationConfig,
         kind = op.kind
         oracle_value: Optional[float] = None
         wall = 0
-        copy_flips = 0
-        chain = 0
+        copy_flips = chain = scan = suppressed = 0
         if kind == "+" or kind == "-":
             start = time.perf_counter_ns()
             try:
@@ -131,6 +130,8 @@ def replay(capacity: int, ops: list[WorkloadOp], cfg: OrientationConfig,
             wall = time.perf_counter_ns() - start
             copy_flips = engine.last_copy_flips
             chain = engine.last_chain
+            scan = engine.last_scan
+            suppressed = engine.last_suppressed
             mutation_count += 1
             if engine.last_copy_flips:
                 budget = 10 * b * math.log(2 + b * tracker.delta)
@@ -150,7 +151,7 @@ def replay(capacity: int, ops: list[WorkloadOp], cfg: OrientationConfig,
         flips_total = rounding.total_simple_flips
         row = [
             len(result.rows), kind, copy_flips,
-            flips_total - prev_simple_flips, chain,
+            flips_total - prev_simple_flips, chain, scan, suppressed,
             rounding.max_simple_out_degree(), tracker.delta,
             repr(tracker.delta / b),
             "" if oracle_value is None else repr(oracle_value),
@@ -196,11 +197,13 @@ def bench(capacity: int, ops: list[WorkloadOp], presets: list[str],
         for preset in presets:
             header += [f"copy_flips_{preset}", f"max_outdeg_{preset}"]
         writer.writerow(header)
+        flips = CSV_COLUMNS.index("copy_flips")
+        outdeg = CSV_COLUMNS.index("max_outdeg_simple")
         first = presets[0]
         for i, base_row in enumerate(runs[first].rows):
             row = [base_row[0], base_row[1]]
             for preset in presets:
                 r = runs[preset].rows[i]
-                row += [r[2], r[5]]
+                row += [r[flips], r[outdeg]]
             writer.writerow(row)
     return runs

@@ -158,13 +158,14 @@ def test_golden_event_log(preset):
 # The per-op CSV that ``replay`` writes for the pinned ``random`` workload,
 # with the ``wall_nanos`` column blanked: SHA-256 prefix of the re-written
 # CSV and the number of data rows.  Pins the columns and every per-op
-# counter in them, which the digests above see only as totals.
+# counter in them, which the digests above see only as totals: among them
+# each update's scan steps and flip suppressions.
 CSV_GOLDEN = {
-    "simple-additive": ("44b01f7d6fff49aa", 1500),
-    "simple-multiplicative": ("be298b7546d46774", 1500),
-    "fast-additive": ("4edd424ceee05624", 1500),
-    "fast-multiplicative": ("23a660617f8c716e", 1500),
-    "eps-density": ("c483b415d178a1a1", 1500),
+    "simple-additive": ("f4b855ad1fecfe75", 1500),
+    "simple-multiplicative": ("902fa2478698b12b", 1500),
+    "fast-additive": ("0d810a4a26bf2a2a", 1500),
+    "fast-multiplicative": ("556d8cc54cd8b126", 1500),
+    "eps-density": ("d9ef202ea9c95e51", 1500),
 }
 
 
@@ -178,6 +179,8 @@ def test_golden_replay_csv(preset):
     wall = rows[0].index("wall_nanos")
     assert all(int(row[wall]) > 0
                for row in rows[1:] if row[1] in ("+", "-"))
+    suppressed = rows[0].index("suppressed")
+    assert sum(int(row[suppressed]) for row in rows[1:]) == GOLDEN[preset][3]
     for row in rows[1:]:
         row[wall] = ""
     blanked = io.StringIO()
