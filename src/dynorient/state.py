@@ -62,8 +62,15 @@ at all.  Suppressions are counted.
 An update may defer its ring refreshes to its end, so a recorded degree can
 lag inside it.  Inside a deferring update only two things re-key: a
 deletion chain, which re-keys the one entry it reads, the top of a head's
-in-buckets, when stale (see ``OrientationEngine._delete_chain``), and the
-flush; ``OrientationEngine._insert_chain`` says why that loses nothing.
+in-buckets, when stale (``OrientationEngine.delete`` says why that is
+enough), and the flush.  The scan and a copy joining a live entry do not.
+That loses nothing.  An update defers only while every ring fits the
+window, so every recorded degree was exact when it began; only
+``_commit`` changes ``out_deg`` and it puts the vertex in ``pending``; and
+every re-key writes the tail's exact degree.  So an entry that records
+another degree than its tail's has its tail in ``pending``, and the flush
+re-keys it.  ``OrientationEngine.insert`` says why waiting changes no
+outcome and why the flush keeps the bucket sibling order.
 
 Everything is flat parallel lists indexed by small integer ids; these are the
 hottest loops in the package.
@@ -86,15 +93,17 @@ from .errors import (
 class OrientationEngine:
     """The orientation of G^b under simple-edge inserts and deletes.
 
-    After a copy is added, ``_insert_chain`` flips toward the out-neighbor
-    that ``_scan`` picks until the scan finds none; after a copy is removed,
-    ``_delete_chain`` flips toward the in-neighbor with the largest recorded
-    degree while the guard holds.  Flips go through ``_flip_copy``, the
-    final ±1 through ``_commit`` and the ring update through ``_refresh``.
-    An insert or a delete defers the refreshes to its end (``pending``,
-    flushed by ``_flush``) while every ring fits in the window, which is
-    always in exact mode; a delete chain re-keys the one stale entry it
-    reads.  ``cfg.is_fast()`` picks the mode once, here: the scan, the
+    ``insert`` and ``delete`` each run one loop over the edge's b copies:
+    place or drain the copy, then walk its flip chain.  After a copy is
+    added the chain flips toward the out-neighbor that ``_scan`` picks
+    until the scan finds none; after a copy is removed it flips toward the
+    in-neighbor with the largest recorded degree while the guard holds.
+    Flips go through ``_flip_copy``, the final ±1 through ``_commit``, the
+    ring update through ``_refresh`` and every re-key through
+    ``move_bucket``.  An insert or a delete defers the refreshes to its end
+    (``pending``, flushed by ``_flush``) while every ring fits in the
+    window, which is always in exact mode; a deletion chain re-keys the one
+    stale entry it reads.  ``cfg.is_fast()`` picks the mode once, here: the scan, the
     window, the bucket key (exact degree, or its geometric index) and the
     guard.  The engine also owns the pair registry (a pair id p names
     entries 2p and 2p+1; no other module relies on that layout), the
@@ -217,13 +226,35 @@ class OrientationEngine:
 
     def insert(self, u: int, v: int) -> None:
         """Insert simple edge {u, v}: b copies, each routed to the endpoint
-        with the smaller current out-degree (ties toward u), with the
-        invariant restored by the engine's flip chain after each copy.
+        t with the smaller current out-degree (ties toward u), and after
+        each the insertion chain: flip toward the out-neighbor that the
+        scan picks until it picks none, then commit the +1 where the chain
+        stopped.  A copy that fills its entry links it into t's ring and
+        the head's in-buckets; one joining a live entry re-keys it to t's
+        degree unless the update defers.
 
         While no ring is longer than the window (always, in exact mode) the
-        ring of each vertex that committed is refreshed once, after the last
-        copy; see ``_insert_chain`` and ``_flush``.  Otherwise every commit
-        refreshes at once.  ``delete`` defers under the same rule."""
+        update defers: ``_flush`` refreshes the ring of each vertex that
+        committed once, after the last copy, in last-commit order.
+        Otherwise every commit refreshes at once.  ``delete`` defers under
+        the same rule.  Nothing inside an insert reads a recorded degree
+        (scans compare exact degrees), and while every ring fits in the
+        window a refresh walks the whole ring and leaves the cursor where it
+        was, so waiting changes no recorded degree and no cursor.
+
+        Last-commit order is the order of each entry's last bucket move had
+        every commit refreshed at once, so the bucket sibling order, which
+        picks a later deletion's flip candidate among equal keys, stays the
+        same; first-commit order would change it.  One case differs: an
+        entry created during the insert is attached at once, below the
+        entries the flush then moves into its bucket, where refreshing at
+        once would have put it above those whose last move came first.
+        Either order is a valid tie-break.
+
+        The engine's ``_flip_copy``, ``_commit`` and ``move_bucket`` are
+        looked up once per update, like its lists, so a wrapper set on the
+        instance between updates sees every flip, commit and re-key of the
+        next one."""
         self.check_sound()
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
@@ -232,16 +263,43 @@ class OrientationEngine:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
         try:
             pid = self._pair_alloc(a, c)
-            self._reset_op_counters()
+            self.last_copy_flips = self.last_chain = 0
+            self.last_suppressed = self.last_scan = 0
             out_deg = self.out_deg
+            e_cnt = self.e_cnt
+            e_head = self.e_head
+            e_perc = self.e_perc
+            scan = self._scan
+            flip = self._flip_copy
+            commit = self._commit
+            move = self.move_bucket
             rec = self.recorder
+            longest = 0
             self.pending = None if self.long_rings else {}
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] <= out_deg[v] else (v, u)
-                self._add_copy(2 * pid + (t != a))
+                e = 2 * pid + (t != a)
+                dt = out_deg[t]
+                cnt = e_cnt[e]
+                e_cnt[e] = cnt + 1
+                if cnt == 0:
+                    self._ring_insert(e, t)
+                    self._bucket_attach(h, e, dt)
+                elif self.pending is None and e_perc[e] != dt:
+                    move(e, dt)
                 if rec is not None:
                     rec.emit(ev.COPY_ADDED, t, h)
-                self._insert_chain(t)
+                chain = 0
+                e = scan(self, t, dt)
+                while e >= 0:
+                    t = e_head[e]
+                    flip(e)
+                    chain += 1
+                    e = scan(self, t, out_deg[t])
+                if chain > longest:
+                    longest = chain
+                commit(t, 1)
+            self.last_chain = longest
             if self.pending is not None:
                 self._flush()
             if self._regained:
@@ -258,18 +316,25 @@ class OrientationEngine:
             raise
 
     def delete(self, u: int, v: int) -> None:
-        """Delete simple edge {u, v}: drain its b copies one at a time,
-        running the deletion cascade after each removal.
+        """Delete simple edge {u, v}: drain its b copies one at a time, each
+        taken out of the endpoint t with the larger current out-degree (ties
+        toward u), or out of the other one when t has no copies of the edge
+        left; the last copy of an entry unlinks it from its ring and its
+        bucket.  After each removal the deletion chain: while the in-neighbor
+        with the largest recorded degree violates the guard against t, flip
+        its copy, then commit the -1 where the chain stopped.
 
-        Each removed copy is taken out of the endpoint with the larger
-        current out-degree (ties toward u), falling back to the opposite
-        direction when that side has no copies left.
-
-        Refreshes are deferred as in ``insert``: while no ring is longer
-        than the window, the ring of each vertex that committed is refreshed
-        once, after the last copy, and each chain re-keys the stale entry
-        it reads; see ``_delete_chain``.  A flip that pushes a ring past the
-        window flushes and ends the deferral mid-delete.
+        Refreshes are deferred as in ``insert``.  While the update defers,
+        the chain reads only the top entry of each head's in-buckets, and
+        re-keys it first if it records another degree than its tail's.
+        That is enough: every recorded degree was exact when the update
+        began and only -1s have been committed since, so a stale one is too
+        high and its key is at or above the true one.  A fresh top entry
+        therefore has the largest true key.  Other entries wait for the
+        flush.  A flip can push a ring past the window, which flushes and
+        ends the deferral mid-delete, so the chain reads ``self.pending`` at
+        every read rather than once.  Without a deferral the recorded
+        degrees are the perceived ones and are read as they stand.
         """
         self.check_sound()
         self._check_pair(u, v)
@@ -278,27 +343,67 @@ class OrientationEngine:
         pid = self.pairs.get(key, -1)
         if pid < 0:
             raise MissingEdgeError(f"edge ({u}, {v}) not present")
-        self._reset_op_counters()
+        self.last_copy_flips = self.last_chain = 0
+        self.last_suppressed = self.last_scan = 0
         rec = self.recorder
         try:
             if rec is not None:
                 rec.emit(ev.SIMPLE_DELETED, a, c)
             self.rounding.simple_deleted(a, c)
+            lhs, rhs, add = self.guard
             out_deg = self.out_deg
             e_cnt = self.e_cnt
+            e_tail = self.e_tail
+            e_perc = self.e_perc
+            top_bucket = self.top_bucket
+            bn_head = self.bn_head
+            flip = self._flip_copy
+            commit = self._commit
+            move = self.move_bucket
+            longest = 0
             self.pending = None if self.long_rings else {}
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] >= out_deg[v] else (v, u)
-                ent = 2 * pid + (t != a)
-                if e_cnt[ent] == 0:
+                e = 2 * pid + (t != a)
+                cnt = e_cnt[e]
+                if cnt == 0:
                     t, h = h, t
-                    ent ^= 1
-                    if e_cnt[ent] == 0:
+                    e ^= 1
+                    cnt = e_cnt[e]
+                    if cnt == 0:
                         raise CorruptionError("pair drained early")
-                self._remove_copy(ent)
+                cnt -= 1
+                e_cnt[e] = cnt
+                if cnt == 0:
+                    self._ring_remove(e, t)
+                    self._bucket_detach(h, e)
                 if rec is not None:
                     rec.emit(ev.COPY_REMOVED, t, h)
-                self._delete_chain(t)
+                chain = 0
+                while True:
+                    top = top_bucket[t]
+                    if top < 0:
+                        break
+                    e = bn_head[top]
+                    x = e_tail[e]
+                    dx = out_deg[x]
+                    if e_perc[e] != dx and self.pending is not None:
+                        move(e, dx)
+                        continue
+                    dt = out_deg[t]
+                    if e_perc[e] * lhs <= rhs * (dt - 1) + add:
+                        break
+                    if dx <= dt:
+                        self.last_suppressed += 1
+                        self.total_suppressed += 1
+                        break
+                    flip(e)
+                    chain += 1
+                    t = x
+                if chain > longest:
+                    longest = chain
+                commit(t, -1)
+            self.last_chain = longest
             if self.pending is not None:
                 self._flush()
             if self._regained:
@@ -567,45 +672,22 @@ class OrientationEngine:
             e = self.rn_next[e]
 
     # ------------------------------------------------------------------
-    # Copy-level primitives.  _add_copy/_remove_copy do the adjacency work
-    # for one copy that insert places or delete drains and nothing else:
-    # insert/delete emit their COPY_ADDED/COPY_REMOVED events, and rounding
-    # never hears about them, since a pair is invisible to it while its
-    # copies are placed or drained.  _flip_copy is the one way a copy
-    # changes sides; it keeps the counts of both entries itself and links
-    # or unlinks an entry only when it fills or empties.
+    # Copy-level primitives.  insert and delete place and drain an edge's
+    # copies themselves and emit COPY_ADDED/COPY_REMOVED; rounding never
+    # hears of those, since a pair is invisible to it while its copies are
+    # placed or drained.  _flip_copy is the one way a copy changes sides;
+    # it keeps the counts of both entries itself and links or unlinks an
+    # entry only when it fills or empties.  _commit is the one way an
+    # out-degree changes, and _refresh tells it to the out-neighbors.
     # ------------------------------------------------------------------
-
-    def _add_copy(self, eid: int) -> None:
-        """Add one copy to entry eid.  The first copy links the entry into
-        its tail's ring and its head's in-buckets; a later one re-keys it to
-        its tail's degree unless the update defers (see
-        ``_insert_chain``)."""
-        t = self.e_tail[eid]
-        dt = self.out_deg[t]
-        cnt = self.e_cnt[eid]
-        self.e_cnt[eid] = cnt + 1
-        if cnt == 0:
-            self._ring_insert(eid, t)
-            self._bucket_attach(self.e_head[eid], eid, dt)
-        elif self.pending is None and self.e_perc[eid] != dt:
-            self.move_bucket(eid, dt)
-
-    def _remove_copy(self, eid: int) -> None:
-        """Remove one copy from entry eid.  The last copy unlinks the entry
-        from its ring and its bucket; the entry stays with its pair."""
-        cnt = self.e_cnt[eid] - 1
-        self.e_cnt[eid] = cnt
-        if cnt == 0:
-            self._ring_remove(eid, self.e_tail[eid])
-            self._bucket_detach(self.e_head[eid], eid)
 
     def _flip_copy(self, eid: int) -> None:
         """Reverse one copy held by entry eid (t->h becomes h->t).
 
         The copy leaves eid, which is unlinked if it empties, and joins the
         reverse entry eid ^ 1, which is linked if it fills and otherwise
-        re-keyed as in ``_add_copy``.  Rounding hears of the flip, with the
+        re-keyed to h's degree unless the update defers, as a copy joining a
+        live entry in ``insert`` is.  Rounding hears of the flip, with the
         final counts, only when it crosses the pair's majority: the flip
         moves the difference (copies a->c) - (copies c->a) by 2, and the
         majority, ties toward a, crosses exactly when the larger of the
@@ -647,13 +729,14 @@ class OrientationEngine:
             self._audit_critical_ineq(t, h)
 
     def _commit(self, u: int, step: int) -> None:
-        """Move u's out-degree by ``step`` (+1 or -1) and announce it to the
-        degree listener and the recorder.  Without ``pending`` the
-        out-neighbors hear of it at once through ``_refresh``, and audit
-        builds then run the post-increment or post-decrement audit of u.
-        With it, u moves to the end of ``pending``, and ``_flush`` refreshes
-        its ring and runs the audit.  Only commits change ``out_deg``, so
-        the flush reads u's latest degree there."""
+        """Move u's out-degree by ``step`` (+1 or -1), where an insertion
+        (+1) or deletion (-1) chain stopped, and announce it to the degree
+        listener and the recorder.  Without ``pending`` the out-neighbors
+        hear of it at once through ``_refresh``, and audit builds then run
+        the post-increment or post-decrement audit of u.  With it, u moves
+        to the end of ``pending``, and ``_flush`` refreshes its ring and
+        runs the audit.  Only commits change ``out_deg``, so the flush reads
+        u's latest degree there."""
         d = self.out_deg[u] + step
         self.out_deg[u] = d
         self.degree_listener.degree_changed(u, d)
@@ -709,10 +792,10 @@ class OrientationEngine:
 
     def _flush(self) -> None:
         """Run the refreshes an insert or a delete deferred, each pending
-        ring once with its vertex's latest degree, in last-commit order;
-        then the audits of the deferred commits, and stop deferring.
-        Entries a delete chain already re-keyed record that degree and are
-        not moved again."""
+        ring once with its vertex's latest degree, in last-commit order (see
+        ``insert`` for why that order); then the audits of the deferred
+        commits, and stop deferring.  Entries a deletion chain already
+        re-keyed record that degree and are not moved again."""
         pending = self.pending
         self.pending = None
         for w in pending:
@@ -723,100 +806,8 @@ class OrientationEngine:
             self._audits_due.clear()
 
     # ------------------------------------------------------------------
-    # Flip chains.
+    # Insert scans.
     # ------------------------------------------------------------------
-
-    def _insert_chain(self, t: int) -> None:
-        """Restore the invariant after a copy was added out of t: flip
-        toward the out-neighbor the scan picks until it picks none, then
-        commit the +1 where the chain stopped.
-
-        The commit refreshes the ring at once or, while the update defers,
-        leaves it to ``_flush``, which refreshes each pending ring once, in
-        last-commit order.  Nothing inside an insert reads a recorded
-        degree (scans compare exact degrees), and while every ring fits in
-        the window a refresh walks the whole ring and leaves the cursor
-        where it was, so waiting changes no recorded degree and no cursor.
-
-        Inside a deferring update only the delete chain's top read and the
-        flush re-key; the scan and a copy joining a live entry do not.  An
-        update defers only while every ring fits the window, so every
-        recorded degree was exact when it began; only ``_commit`` changes
-        ``out_deg`` and it puts the vertex in ``pending``; and every re-key
-        writes the tail's exact degree.  So an entry that records another
-        degree than its tail's has its tail in ``pending``, and the flush
-        re-keys it.
-
-        Last-commit order is the order of each entry's last bucket move had
-        every commit refreshed at once, so the bucket sibling order, which
-        picks a later deletion's flip candidate among equal keys, stays the
-        same; first-commit order would change it.  One case differs: an
-        entry created during the insert is attached at once, below the
-        entries the flush then moves into its bucket, where refreshing at
-        once would have put it above those whose last move came first.
-        Either order is a valid tie-break.
-        """
-        out_deg = self.out_deg
-        e_head = self.e_head
-        scan = self._scan
-        chain = 0
-        e = scan(self, t, out_deg[t])
-        while e >= 0:
-            t = e_head[e]
-            self._flip_copy(e)
-            chain += 1
-            e = scan(self, t, out_deg[t])
-        if chain > self.last_chain:
-            self.last_chain = chain
-        self._commit(t, 1)
-
-    def _delete_chain(self, u: int) -> None:
-        """Restore the invariant after a copy out of u was removed: while
-        the in-neighbor with the largest recorded degree violates the guard
-        against u, flip its copy, then commit the -1 where the chain
-        stopped.  The commit refreshes or defers as in ``_insert_chain``.
-
-        While the update defers, the chain reads only the top entry of each
-        head's in-buckets, and re-keys it first if it records another degree
-        than its tail's.  That is enough: every recorded degree was exact
-        when the update began and only -1s have been committed since, so a
-        stale one is too high and its key is at or above the true one.  A
-        fresh top entry therefore has the largest true key.  Other entries
-        wait for the flush.  A flip can push a ring past the window, which
-        flushes and ends the deferral, so the chain reads ``self.pending``
-        at every read rather than once.  Without a deferral the recorded
-        degrees are the perceived ones and are read as they stand.
-        """
-        lhs, rhs, add = self.guard
-        out_deg = self.out_deg
-        e_perc = self.e_perc
-        e_tail = self.e_tail
-        top_bucket = self.top_bucket
-        bn_head = self.bn_head
-        chain = 0
-        while True:
-            top = top_bucket[u]
-            if top < 0:
-                break
-            x_ent = bn_head[top]
-            x = e_tail[x_ent]
-            dx = out_deg[x]
-            if e_perc[x_ent] != dx and self.pending is not None:
-                self.move_bucket(x_ent, dx)
-                continue
-            du = out_deg[u]
-            if e_perc[x_ent] * lhs <= rhs * (du - 1) + add:
-                break
-            if dx <= du:
-                self.last_suppressed += 1
-                self.total_suppressed += 1
-                break
-            self._flip_copy(x_ent)
-            chain += 1
-            u = x
-        if chain > self.last_chain:
-            self.last_chain = chain
-        self._commit(u, -1)
 
     # ``_scan(self, t, dt)``, one of the two below, picked in ``__init__``:
     # the entry of the out-neighbor the chain at t (out-degree dt, before
@@ -850,7 +841,7 @@ class OrientationEngine:
     def _scan_window(self, t: int, dt: int) -> int:
         # Perceived mode: first violation within the window from the cursor,
         # checked against exact degrees; every entry passed over learns t's
-        # degree, unless the update defers (see _insert_chain).
+        # degree, unless the update defers (see insert).
         rekey = self.pending is None
         lhs, rhs, add = self.guard
         lhs *= dt + 1
@@ -915,12 +906,6 @@ class OrientationEngine:
                 f"vertex ids must lie in [0, {n}); got ({u}, {v})")
         if u == v:
             raise GraphUpdateError("self-loops are not supported")
-
-    def _reset_op_counters(self) -> None:
-        self.last_copy_flips = 0
-        self.last_chain = 0
-        self.last_suppressed = 0
-        self.last_scan = 0
 
     # ------------------------------------------------------------------
     # Audits.
@@ -1071,7 +1056,7 @@ class OrientationEngine:
         # fits in the refresh window: always in exact mode (window n), up to
         # rr_width in perceived mode.  Inside an update that defers its
         # refreshes they lag until the flush, or in a delete until a chain
-        # reads the entry; see _insert_chain and _delete_chain.
+        # reads the entry; see insert and delete.
         for eid in seen_entries:
             t = self.e_tail[eid]
             if self.out_sz[t] <= self.window:

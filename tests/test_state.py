@@ -273,6 +273,53 @@ def test_full_state_audit_clean_after_fuzz(any_preset_cfg):
     assert audit_state(stack) == []
 
 
+@pytest.mark.parametrize("preset", ["simple-multiplicative",
+                                    "fast-multiplicative"])
+def test_wrappers_set_between_updates_see_the_next_ones(preset):
+    # insert and delete look up _flip_copy, _commit and move_bucket on the
+    # instance once per update, so wrappers set after the engine has run
+    # see every flip, commit and re-key of each later update.  A re-key
+    # made while the update still defers is a deletion chain's own re-key
+    # of a stale top entry.
+    stack = OrientationStack(OrientationConfig.from_preset(preset, 24))
+    engine = stack.engine
+    fz = Fuzzer(stack, seed=5)
+    fz.run(100)
+    seen = {"flips": 0, "commits": 0, "moves": 0, "deferred": 0}
+    flip_copy, commit, move_bucket = (engine._flip_copy, engine._commit,
+                                      engine.move_bucket)
+
+    def flip(eid):
+        seen["flips"] += 1
+        flip_copy(eid)
+
+    def counted_commit(u, step):
+        seen["commits"] += 1
+        commit(u, step)
+
+    def move(eid, degree):
+        seen["moves"] += 1
+        seen["deferred"] += engine.pending is not None
+        move_bucket(eid, degree)
+
+    engine._flip_copy = flip
+    engine._commit = counted_commit
+    engine.move_bucket = move
+    totals = {True: dict.fromkeys(seen, 0), False: dict.fromkeys(seen, 0)}
+    for _ in range(200):
+        before = dict(seen)
+        live = len(fz.live)
+        fz.step()
+        delta = {k: seen[k] - before[k] for k in seen}
+        assert delta["commits"] == engine.b
+        assert delta["flips"] == engine.last_copy_flips
+        for k, d in delta.items():
+            totals[len(fz.live) > live][k] += d
+    inserts, deletes = totals[True], totals[False]
+    assert inserts["flips"] > 0 and inserts["moves"] > 0
+    assert deletes["flips"] > 0 and deletes["deferred"] > 0
+
+
 def test_event_stream_reconstructs_copy_counts():
     rec = EventRecorder()
     cfg = OrientationConfig.fast_multiplicative(24)
