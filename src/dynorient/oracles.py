@@ -39,7 +39,10 @@ from fractions import Fraction
 
 from .errors import OracleLimitError
 
-FLOW_LIMIT_DEFAULT = 60
+# The largest n at which one exact_density call on a random graph with 2n
+# edges stays under about 100 ms (a planted K20 makes it faster: the peel
+# finds it and one flow runs on its core).
+FLOW_LIMIT_DEFAULT = 800
 ENUM_LIMIT = 20
 
 

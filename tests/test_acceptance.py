@@ -160,7 +160,7 @@ def test_criterion_4_structural_bound_and_adaptivity():
         (stack.insert if op.kind == "+" else stack.delete)(op.u, op.v)
         if i % stride == 0 or i == len(ops) - 1:
             edges = sorted(stack.engine.edges())
-            rho, _ = exact_density(n, edges, limit=300)
+            rho, _ = exact_density(n, edges)
             k = stack.density.report().k
             bound = (1 + cfg.gamma) * rho * (1 + cfg.slack) ** k \
                 + 2 * (cfg.b / cfg.eta + 1)

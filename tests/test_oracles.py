@@ -12,6 +12,7 @@ from dynorient import (
     oracles,
 )
 from dynorient.oracles import (
+    FLOW_LIMIT_DEFAULT,
     audit_state,
     exact_arboricity,
     exact_density,
@@ -106,9 +107,9 @@ class TestExactDensity:
 
     def test_limit_enforced(self):
         with pytest.raises(OracleLimitError):
-            exact_density(61, [])
+            exact_density(FLOW_LIMIT_DEFAULT + 1, [])
         with pytest.raises(OracleLimitError):
-            exact_min_max_outdegree(61, [])
+            exact_min_max_outdegree(FLOW_LIMIT_DEFAULT + 1, [])
         with pytest.raises(OracleLimitError):
             exact_density_enum(21, [])
         with pytest.raises(OracleLimitError):

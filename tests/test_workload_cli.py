@@ -12,6 +12,7 @@ from dynorient import OrientationConfig, WorkloadError
 from dynorient.cli import main as cli_main
 from dynorient.harness import bench, replay
 from dynorient.oracles import (
+    FLOW_LIMIT_DEFAULT,
     exact_arboricity,
     exact_density,
     exact_density_enum,
@@ -160,15 +161,17 @@ class TestReplay:
 
     def test_audit_above_the_oracle_limit_counts_its_skipped_check(
             self, tmp_path, capsys):
-        # At n = 61 > FLOW_LIMIT_DEFAULT the audit runs without the exact
-        # density comparison; the summary and the CLI line say so.
-        lines = ["n 61", "+ 0 1", "+ 1 60", "! audit"]
+        # Above FLOW_LIMIT_DEFAULT the audit runs without the exact density
+        # comparison; the summary and the CLI line say so.
+        top = FLOW_LIMIT_DEFAULT
+        lines = [f"n {top + 1}", "+ 0 1", f"+ 1 {top}", "! audit"]
         n, ops = parse_workload(lines)
         result = replay(n, ops, OrientationConfig.fast_additive(n))
         assert result.summary()["audits"] == 1
         assert result.summary()["oracle_skipped"] == 1
         # Within the limit the comparison runs.
-        n, ops = parse_workload(["n 60"] + lines[1:2] + ["+ 1 59", "! audit"])
+        n, ops = parse_workload([f"n {top}"] + lines[1:2]
+                                + [f"+ 1 {top - 1}", "! audit"])
         result = replay(n, ops, OrientationConfig.fast_additive(n))
         assert result.summary()["oracle_skipped"] == 0
         wl = tmp_path / "w.txt"
