@@ -63,8 +63,8 @@ An update may defer its ring refreshes to its end, so a recorded degree can
 lag inside it.  Inside a deferring update only two things re-key: a
 deletion chain, which re-keys the one entry it reads, the top of a head's
 in-buckets, when stale (``OrientationEngine.delete`` says why that is
-enough), and the flush.  The scan and a copy joining a live entry do not.
-That loses nothing.  An update defers only while every ring fits the
+enough), and the flush; the scan and a copy joining a live entry do not.
+That loses nothing: an update defers only while every ring fits the
 window, so every recorded degree was exact when it began; only
 ``_commit`` changes ``out_deg`` and it puts the vertex in ``pending``; and
 every re-key writes the tail's exact degree.  So an entry that records
@@ -103,13 +103,13 @@ class OrientationEngine:
     ``move_bucket``.  An insert or a delete defers the refreshes to its end
     (``pending``, flushed by ``_flush``) while every ring fits in the
     window, which is always in exact mode; a deletion chain re-keys the one
-    stale entry it reads.  ``cfg.is_fast()`` picks the mode once, here: the scan, the
-    window, the bucket key (exact degree, or its geometric index) and the
-    guard.  The engine also owns the pair registry (a pair id p names
-    entries 2p and 2p+1; no other module relies on that layout), the
-    ring/bucket mechanics, event emission, the per-update counters and, for
-    audit builds (``audit_hooks``), the audits run after each flip and each
-    commit.  It is built with its ``rounding`` and ``degree_listener``
+    stale entry it reads.  ``cfg.is_fast()`` picks the mode once, here:
+    the scan, the window, the bucket key (exact degree, or its geometric
+    index) and the guard.  The engine also owns the pair registry (a pair
+    id p names entries 2p and 2p+1; no other module relies on that layout),
+    the ring/bucket mechanics, event emission, the per-update counters and,
+    for audit builds (``audit_hooks``), the audits run after each flip and
+    each commit.  It is built with its ``rounding`` and ``degree_listener``
     layers and an optional event ``recorder``; see ``OrientationStack``.
 
     An exception that escapes an update once it has started to change state
