@@ -17,6 +17,10 @@ OUT_DEGREE_CHANGED = 4
 SIMPLE_INSERTED = 5
 SIMPLE_DELETED = 6
 
+# EventHasher's FNV-1a-style step: h = (h ^ x) * _FNV_PRIME mod 2^64.
+_FNV_PRIME = 0x100000001B3
+_MASK_64 = (1 << 64) - 1
+
 KIND_NAMES = (None, "copy_added", "copy_removed", "copy_flipped",
               "out_degree_changed", "simple_inserted", "simple_deleted")
 
@@ -79,18 +83,17 @@ class EventHasher:
     event-identical iff their digests match.
     """
 
-    _MASK = (1 << 64) - 1
+    __slots__ = ("digest", "count")
 
     def __init__(self):
         self.digest = 0xCBF29CE484222325
         self.count = 0
 
     def emit(self, kind: int, u: int, v: int, payload=None) -> None:
-        h = self.digest
-        h = (h ^ kind) * 0x100000001B3 & self._MASK
-        h = (h ^ (u + 1)) * 0x100000001B3 & self._MASK
-        h = (h ^ (v + 1)) * 0x100000001B3 & self._MASK
+        h = (self.digest ^ kind) * _FNV_PRIME & _MASK_64
+        h = (h ^ (u + 1)) * _FNV_PRIME & _MASK_64
+        h = (h ^ (v + 1)) * _FNV_PRIME & _MASK_64
         if payload is not None:
-            h = (h ^ (payload + 3)) * 0x100000001B3 & self._MASK
+            h = (h ^ (payload + 3)) * _FNV_PRIME & _MASK_64
         self.digest = h
         self.count += 1

@@ -32,11 +32,14 @@ class OrientationStack:
                  audit_hooks: bool = False):
         self.cfg = cfg
         self.rounding = RoundedOrientation(cfg.capacity)
-        # One object takes the degree stream and answers the density
-        # queries; callers read it as ``tracker`` or as ``density``.
+        # One object answers the density queries; callers read it as
+        # ``tracker`` or as ``density``.  The engine names the vertices whose
+        # degree changed to it once per update, and it reads their degrees
+        # from the engine's own list when a query syncs it.
         self.tracker = self.density = DensityTracker(cfg)
         self.engine = OrientationEngine(cfg, self.rounding, self.tracker,
                                         recorder, audit_hooks)
+        self.tracker.out_deg = self.engine.out_deg
         self.matching = None
         self.coloring = None
         self.forests = None

@@ -70,7 +70,9 @@ window, so every recorded degree was exact when it began; only
 every re-key writes the tail's exact degree.  So an entry that records
 another degree than its tail's has its tail in ``pending``, and the flush
 re-keys it.  ``OrientationEngine.insert`` says why waiting changes no
-outcome and why the flush keeps the bucket sibling order.
+outcome and why the flush keeps the bucket sibling order.  The degree
+listener waits too: the flush names the update's committed vertices to it
+in one call, and it reads their degrees when it next needs them.
 
 Everything is flat parallel lists indexed by small integer ids; these are the
 hottest loops in the package.
@@ -111,6 +113,10 @@ class OrientationEngine:
     for audit builds (``audit_hooks``), the audits run after each flip and
     each commit.  It is built with its ``rounding`` and ``degree_listener``
     layers and an optional event ``recorder``; see ``OrientationStack``.
+    The degree listener is not told of each commit: ``degree_changed``
+    receives an iterable of the vertices whose out-degree changed, once per
+    deferring update at the flush, and ``(u,)`` for a commit made while
+    the update does not defer.  It reads the degrees from ``out_deg``.
 
     An exception that escapes an update once it has started to change state
     marks the engine ``broken``; every later update then raises
@@ -730,21 +736,22 @@ class OrientationEngine:
 
     def _commit(self, u: int, step: int) -> None:
         """Move u's out-degree by ``step`` (+1 or -1), where an insertion
-        (+1) or deletion (-1) chain stopped, and announce it to the degree
-        listener and the recorder.  Without ``pending`` the out-neighbors
-        hear of it at once through ``_refresh``, and audit builds then run
-        the post-increment or post-decrement audit of u.  With it, u moves
-        to the end of ``pending``, and ``_flush`` refreshes its ring and
-        runs the audit.  Only commits change ``out_deg``, so the flush reads
-        u's latest degree there."""
+        (+1) or deletion (-1) chain stopped, and announce it to the
+        recorder.  Without ``pending`` the degree listener is handed
+        ``(u,)`` and the out-neighbors hear of it at once through
+        ``_refresh``, and audit builds then run the post-increment or
+        post-decrement audit of u.  With it, u moves to the end of
+        ``pending``, and ``_flush`` names it to the listener, refreshes its
+        ring and runs the audit.  Only commits change ``out_deg``, so the
+        flush reads u's latest degree there."""
         d = self.out_deg[u] + step
         self.out_deg[u] = d
-        self.degree_listener.degree_changed(u, d)
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
         pending = self.pending
         if pending is None:
+            self.degree_listener.degree_changed((u,))
             self._refresh(u)
         else:
             pending.pop(u, None)
@@ -791,13 +798,15 @@ class OrientationEngine:
         regained.clear()
 
     def _flush(self) -> None:
-        """Run the refreshes an insert or a delete deferred, each pending
-        ring once with its vertex's latest degree, in last-commit order (see
-        ``insert`` for why that order); then the audits of the deferred
-        commits, and stop deferring.  Entries a deletion chain already
+        """Stop deferring: hand the degree listener the pending vertices in
+        one call, then run the refreshes an insert or a delete deferred,
+        each pending ring once with its vertex's latest degree, in
+        last-commit order (see ``insert`` for why that order); then the
+        audits of the deferred commits.  Entries a deletion chain already
         re-keyed record that degree and are not moved again."""
         pending = self.pending
         self.pending = None
+        self.degree_listener.degree_changed(pending)
         for w in pending:
             self._refresh(w)
         if self.audit_hooks:

@@ -1,5 +1,6 @@
 """Density tracker, estimate sandwich, and threshold-set extraction."""
 
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,6 +13,8 @@ from dynorient import (
     OrientationConfig,
     OrientationStack,
 )
+from dynorient.density import DensityTracker
+from dynorient.events import OUT_DEGREE_CHANGED
 from dynorient.oracles import exact_density, subgraph_density
 
 from conftest import Fuzzer, clique_edges, path_edges
@@ -24,29 +27,25 @@ def test_first_degree_sets_delta():
 
 
 def test_decrement_of_unique_maximum_recomputes_delta():
-    from dynorient.density import DensityTracker
-
-    # The engine commits one +1 or -1 at a time; feed the tracker the same.
+    # The engine names the vertices whose degree changed; the tracker reads
+    # their degrees from ``out_deg`` when a read syncs it.
     tracker = DensityTracker(OrientationConfig.simple_additive(8))
-    deg = [0] * 8
+    deg = tracker.out_deg
 
-    def step(u, d):
-        assert abs(d - deg[u]) == 1
+    def move(u, d):
         deg[u] = d
-        tracker.degree_changed(u, d)
+        tracker.degree_changed((u,))
 
-    for u, top in ((0, 1), (1, 3), (2, 2)):
-        for d in range(1, top + 1):
-            step(u, d)
+    move(0, 1)
+    move(1, 3)
+    move(2, 2)
     assert tracker.delta == 3
-    step(1, 2)   # the unique maximum drops
+    move(1, 2)   # the unique maximum drops, into a tie
     assert tracker.delta == 2
-    step(1, 1)
-    step(1, 0)
-    step(2, 1)
-    step(2, 0)
+    move(1, 0)   # two vertices drop several levels in one sync
+    move(2, 0)
     assert tracker.delta == 1
-    step(0, 0)
+    move(0, 0)
     assert tracker.delta == 0
 
 
@@ -70,51 +69,201 @@ def test_tracker_matches_true_maximum_under_churn(any_preset_cfg):
                 assert all(deg[a] >= deg[b] for a, b in zip(got, got[1:]))
 
 
+class _SwapTracker:
+    """Per-commit reference for ``DensityTracker``: each unit degree change
+    is applied as it comes, one swap and one counter step, and ``report``
+    builds the threshold sets straight from their definition."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        n = cfg.capacity
+        self.order = list(range(n))
+        self.pos = list(range(n))
+        self.ge = [n]
+        self.delta = 0
+
+    def degree_changed(self, u, d):
+        """u's out-degree is now d, one step from its old one."""
+        ge = self.ge
+        if d == len(ge):
+            ge.append(0)
+        order, pos = self.order, self.pos
+        i = pos[u]
+        j = ge[d]
+        if i >= j:
+            ge[d] = j + 1
+        else:
+            j = ge[d + 1] - 1
+            ge[d + 1] = j
+        if j == 0:
+            self.delta = d
+        w = order[j]
+        order[i], order[j] = w, u
+        pos[w], pos[u] = i, j
+
+    def emit(self, kind, u, v, payload=None):
+        """Event-sink form: follow the engine's commits one by one."""
+        if kind == OUT_DEGREE_CHANGED:
+            self.degree_changed(u, payload)
+
+    def count_at_least(self, t):
+        t = max(math.ceil(t), 0)
+        return self.ge[t] if t < len(self.ge) else 0
+
+    def report(self):
+        """(k, |T_(k+1)|, V_0 .. V_(k+1), T_(k+1) as a set)."""
+        cfg, delta = self.cfg, self.delta
+        if delta == 0:
+            return 0, 0, [], set()
+        power, offset = Fraction(1), Fraction(0)
+        thresholds = [Fraction(delta)]
+        sizes = [self.count_at_least(delta)]
+        for i in range(1, 10_000):
+            power /= 1 + cfg.slack
+            offset += cfg.c * power
+            thresholds.append(delta * power - offset)
+            sizes.append(self.count_at_least(thresholds[i]))
+            if sizes[i] < (1 + cfg.gamma) * sizes[i - 1]:
+                k = i - 1
+                break
+        return (k, sizes[k + 1], thresholds[:k + 2],
+                set(self.order[:sizes[k + 1]]))
+
+
+def _check_report(tracker, reference, deg):
+    """The tracker's report against the reference's: the same k, size,
+    thresholds and vertex set, with the vertices by degree descending and
+    ties by id ascending."""
+    got = tracker.report()
+    k, size, thresholds, vertices = reference.report()
+    assert (got.k, got.subgraph_size, got.thresholds, set(got.vertices)) \
+        == (k, size, thresholds, vertices)
+    assert got.vertices == sorted(vertices, key=lambda v: (-deg[v], v))
+
+
 @st.composite
 def _walks(draw):
-    """2 <= n <= 8 and moves: '+' and '-' step one vertex; '0' steps a vertex
-    down to 0; 'T' steps every vertex of the top degree down by one."""
+    """2 <= n <= 8 and moves (kind, vertex, k), 1 <= k <= 5: '+' and '-'
+    move a vertex by k (not below 0); '0' drops a vertex to 0; 'T' moves
+    every vertex of the top degree down by k; '?' reads the tracker."""
     n = draw(st.integers(2, 8))
-    moves = draw(st.lists(st.tuples(st.sampled_from("+-0T"),
-                                    st.integers(0, n - 1)), max_size=60))
+    moves = draw(st.lists(st.tuples(st.sampled_from("+-0T?"),
+                                    st.integers(0, n - 1),
+                                    st.integers(1, 5)), max_size=60))
     return n, moves
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@example((3, [("+", 0), ("+", 0), ("+", 1), ("T", 0), ("T", 0), ("+", 2)]))
-@example((2, [("+", 0), ("+", 1), ("+", 1), ("0", 1), ("0", 0), ("+", 1)]))
+@example((3, [("+", 0, 2), ("+", 1, 1), ("T", 0, 1), ("?", 0, 1),
+              ("T", 0, 1), ("+", 2, 1)]))
+@example((2, [("+", 0, 1), ("+", 1, 2), ("0", 1, 1), ("0", 0, 1),
+              ("+", 1, 1)]))
+@example((4, [("+", 3, 5), ("?", 0, 1), ("-", 3, 5), ("+", 3, 4),
+              ("-", 3, 1), ("?", 0, 1)]))
 @given(_walks())
 def test_tracker_follows_unit_walks(walk):
-    from dynorient.density import DensityTracker
-
+    # Degrees jump by several levels at once, some of them up and back
+    # down between two reads; each jump is named to the tracker as the
+    # engine names a committed vertex.  The per-commit reference follows
+    # the same walk in unit steps.
     n, moves = walk
-    tracker = DensityTracker(OrientationConfig.simple_additive(n))
-    deg = [0] * n
+    cfg = OrientationConfig.simple_additive(n)
+    tracker = DensityTracker(cfg)
+    reference = _SwapTracker(cfg)
+    deg = tracker.out_deg
     stub = SimpleNamespace(out_deg=deg)
 
-    def step(u, d):
-        deg[u] = d
-        tracker.degree_changed(u, d)
+    def move(u, d):
+        step = 1 if d > deg[u] else -1
+        while deg[u] != d:
+            deg[u] += step
+            reference.degree_changed(u, deg[u])
+        tracker.degree_changed((u,))
+
+    def read():
         top = max(deg)
         assert tracker.delta == top
         for t in list(range(-1, top + 3)) + [Fraction(top, 3)]:
             want = {v for v, x in enumerate(deg) if x >= t}
             assert tracker.count_at_least(t) == len(want), t
-            assert set(tracker.vertices_at_least(t)) == want, t
+            got = tracker.vertices_at_least(t)
+            assert set(got) == want, t
+            assert all(deg[a] >= deg[b] for a, b in zip(got, got[1:]))
         assert tracker.violations(stub) == []
+        _check_report(tracker, reference, deg)
 
-    for kind, u in moves:
-        if kind == "+" or (kind == "-" and deg[u] == 0):
-            step(u, deg[u] + 1)
+    for kind, u, k in moves:
+        if kind == "+":
+            move(u, deg[u] + k)
         elif kind == "-":
-            step(u, deg[u] - 1)
+            move(u, max(deg[u] - k, 0))
         elif kind == "0":
-            while deg[u]:
-                step(u, deg[u] - 1)
-        else:
+            move(u, 0)
+        elif kind == "T":
             top = max(deg)
             for v in [v for v in range(n) if top and deg[v] == top]:
-                step(v, top - 1)
+                move(v, max(top - k, 0))
+        else:
+            read()
+    read()
+
+
+def test_unmarked_change_is_flagged():
+    # A degree change the engine never named leaves the vertex where the
+    # tracker last placed it, and the audit says so.
+    tracker = DensityTracker(OrientationConfig.simple_additive(8))
+    deg = tracker.out_deg
+    stub = SimpleNamespace(out_deg=deg)
+    deg[3] = 2
+    tracker.degree_changed((3,))
+    assert tracker.violations(stub) == []
+    deg[5] = 1
+    assert "density tracker missed a degree change" in \
+        tracker.violations(stub)
+    tracker.degree_changed((5,))
+    assert tracker.violations(stub) == []
+
+
+def test_one_tracker_call_per_deferring_update(any_preset_cfg):
+    # The engine names an update's committed vertices to the tracker once,
+    # at the flush; at fuzz sizes no ring outgrows the window, so every
+    # update defers.
+    stack = OrientationStack(any_preset_cfg)
+    engine = stack.engine
+    tracker = stack.tracker
+    calls = []
+
+    def counting(vertices):
+        calls.append(list(vertices))
+        tracker.degree_changed(vertices)
+
+    engine.degree_listener = SimpleNamespace(degree_changed=counting)
+    fz = Fuzzer(stack, seed=29)
+    for i in range(1, 601):
+        assert engine.long_rings == 0
+        before = list(engine.out_deg)
+        calls.clear()
+        fz.step()
+        assert len(calls) == 1
+        changed = {v for v, d in enumerate(engine.out_deg) if d != before[v]}
+        assert changed <= set(calls[0])
+        if i % 100 == 0:
+            assert tracker.violations(engine) == []
+
+
+def test_report_matches_the_per_commit_reference(any_preset_cfg):
+    # The reference follows every commit through the event stream; the
+    # tracker syncs only when read.  Their answers agree but for the order
+    # of tied vertices, which the tracker fixes by vertex id.
+    reference = _SwapTracker(any_preset_cfg)
+    stack = OrientationStack(any_preset_cfg, recorder=reference)
+    fz = Fuzzer(stack, seed=31)
+    deg = stack.engine.out_deg
+    for i in range(1, 801):
+        fz.step()
+        if i % 7 == 0:
+            assert stack.tracker.delta == reference.delta
+            _check_report(stack.density, reference, deg)
 
 
 def test_empty_graph_estimates_zero():

@@ -182,18 +182,19 @@ def test_insert_that_raises_leaves_no_deferral_behind():
                              audit_hooks=True)
     Fuzzer(stack, seed=5).run(40)
     engine = stack.engine
-    calls = 0
+    raised = []
 
-    def failing(u, d):
-        nonlocal calls
-        calls += 1
-        if calls == 3:
-            raise RuntimeError("listener failed")
+    def failing(vertices):
+        # The degree listener hears of a deferring insert once, at its
+        # flush, before the refreshes and the deferred audits run.
+        raised.append(len(engine._audits_due))
+        raise RuntimeError("listener failed")
 
     engine.degree_listener = SimpleNamespace(degree_changed=failing)
     op = engine.updates
     with pytest.raises(RuntimeError):
         stack.insert(*_absent_pair(stack, 16))
+    assert raised == [stack.cfg.b]
     assert engine.pending is None
     assert engine._audits_due == []
     _assert_fail_stop(stack, op)
@@ -210,18 +211,23 @@ def test_delete_that_raises_leaves_no_deferral_behind(preset):
     fz = Fuzzer(stack, seed=5)
     fz.run(40)
     engine = stack.engine
+    commit = engine._commit
     calls = 0
 
-    def failing(u, d):
+    def failing(u, step):
+        # The third commit raises while the delete still defers.
         nonlocal calls
+        commit(u, step)
         calls += 1
         if calls == 3:
-            raise RuntimeError("listener failed")
+            assert engine.pending
+            raise RuntimeError("commit failed")
 
-    engine.degree_listener = SimpleNamespace(degree_changed=failing)
+    engine._commit = failing
     op = engine.updates
     with pytest.raises(RuntimeError):
         stack.delete(*sorted(fz.live_set)[0])
+    assert calls == 3
     assert engine.pending is None
     assert engine._audits_due == []
     _assert_fail_stop(stack, op)

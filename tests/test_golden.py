@@ -7,7 +7,8 @@ rounding's simple-flip total, SHA-256 digests of the final engine, rounding
 and application state, and the number of bucket re-keys.  A refactor or
 optimisation of the update path must leave every digest unchanged; an
 optimisation that saves re-keys, or a deliberate behaviour change, re-pins
-what it moves and says why.
+what it moves and says why.  ``replay``'s query answers are pinned too, on
+one eps-density workload with queries.
 """
 
 import csv
@@ -329,3 +330,26 @@ def test_golden_digest_small_window():
     assert max(engine.out_sz) == 6 > engine.window
     assert (f"{hasher.digest:016x}", hasher.count, engine.total_copy_flips,
             _stale_count(engine)) == SMALL_WINDOW_GOLDEN
+
+
+# ``replay``'s query answers under eps-density on the drifting-density
+# workload, with a ``? density`` and a ``? densest`` line after every third
+# update: SHA-256 prefix of the answer lines and their number.  A densest
+# answer lists its vertices by degree descending and ties by id, so it
+# depends on the degrees alone, not on the order in which the tracker was
+# told of them.
+QUERY_GOLDEN = ("eb02c7cc9dfd2c92", 778)
+
+
+def test_golden_query_answers():
+    lines = generate("drifting-density", DRIFT_N, 4000, seed=SEED, clique=16)
+    with_queries = [lines[0]]
+    for i, line in enumerate(lines[1:], start=1):
+        with_queries.append(line)
+        if i % 3 == 0:
+            with_queries += ["? density", "? densest"]
+    n, ops = parse_workload(with_queries)
+    result = replay(n, ops, BUILDERS["eps-density"](n))
+    text = "".join(line + "\n" for line in result.query_lines)
+    assert (hashlib.sha256(text.encode()).hexdigest()[:16],
+            len(result.query_lines)) == QUERY_GOLDEN

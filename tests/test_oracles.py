@@ -246,13 +246,14 @@ def test_audit_flags_injected_corruption():
     stack = OrientationStack(OrientationConfig.fast_additive(16))
     Fuzzer(stack, seed=83).run(100)
     assert audit_state(stack) == []
-    stack.tracker.delta += 1  # stale maximum
+    # a stale maximum in the synced state (the audit synced the tracker)
+    tracker = stack.tracker
+    tracker._delta += 1
     bad = audit_state(stack)
     assert len(bad) == 1 and "stale" in bad[0]
-    stack.tracker.delta -= 1
+    tracker._delta -= 1
     assert audit_state(stack) == []
     # two vertices of different degree trade places in the sorted order
-    tracker = stack.tracker
     deg = stack.engine.out_deg
     order = tracker.order
     i = next(i for i in range(1, 16) if deg[order[i]] != deg[order[0]])
