@@ -12,20 +12,14 @@ smallest k whose next set grows by less than a (1+gamma) factor, and returns
 T_(k+1); the density of that set is at least estimate/((1+gamma)(1+eta/b)^k)
 because no vertex of T_k can orient a copy outside T_(k+1).
 
-One ``DensityTracker`` answers the queries from the engine's degrees.  It
-keeps the vertices in one permutation sorted by out-degree and counts, per
-degree, the vertices that reach it (Batagelj-Zaversnik bin sort); a
-threshold count is one lookup and the vertices above it a prefix of the
-permutation.  The engine does not report each +1 and -1: once per update
-(once per commit while an update does not defer its refreshes) it names the
-vertices whose degree changed, and the tracker only marks them stale.  Every read first syncs: each stale vertex walks from the degree the
-tracker last placed it at to its current one, one swap and one counter step
-per level crossed.  A vertex crosses each level at most once per sync, so a
-sync costs no more swaps than applying every unit change as it came would,
-and usually far fewer, since an update's b commits land on few vertices and
-partly cancel.  Tied vertices sit in the order the swaps left them, which
-depends on history; ``report`` sorts its vertices by degree descending and
-vertex id ascending, so its answer depends on the degrees alone.
+One ``DensityTracker`` answers the queries from the engine's degrees, filed
+in per-degree sets.  Once per update (once per commit while an update does
+not defer its refreshes) the engine names the vertices whose degree changed,
+and the tracker only marks them stale.  A read first moves each stale vertex
+to the set of its current degree in O(1), then walks from the maximum Delta
+down to its last cut, sorting each non-empty level by id: the vertices come
+by degree descending, ties by id ascending, whatever the history.  A read
+costs O(|stale| + Delta + |T_(k+1)| log |T_(k+1)|) in the worst case.
 """
 
 from __future__ import annotations
@@ -50,14 +44,13 @@ class DensityReport:
 
 
 class DensityTracker:
-    """The vertices sorted by exact multigraph out-degree, and the density
+    """The vertices filed by exact multigraph out-degree, and the density
     queries read off them.
 
     ``out_deg`` is the engine's own out-degree list, read at each sync; the
     stack hands it over once the engine is built.  ``deg[u]`` is the degree
-    the tracker last placed u at.  ``order`` lists every vertex by ``deg``,
-    descending; ``pos`` is its inverse.  ``ge[d]`` counts the vertices with
-    ``deg`` >= d; it grows when the maximum first reaches a degree and never
+    the tracker last placed u at, and ``at[d]`` the set of vertices placed
+    at d; ``at`` grows when the maximum first reaches a degree and never
     shrinks.  ``_stale`` lists, once each, the vertices named since the last
     sync, and ``_marked`` flags them.  Every read (``delta``, ``value``,
     ``count_at_least``, ``vertices_at_least``, ``report``, ``violations``)
@@ -69,16 +62,15 @@ class DensityTracker:
         self.n = n = cfg.capacity
         self.out_deg = [0] * n
         self.deg = [0] * n
-        self.order = list(range(n))
-        self.pos = list(range(n))
-        self.ge = [n]
+        self.at = [set(range(n))]
         self._delta = 0
         self._stale: list[int] = []
         self._marked = bytearray(n)
         # The thresholds depend only on delta and the config.  Per delta:
-        # V_0, V_1, ... and their integer cut-offs ceil(V_i), extended as far
-        # as a report has needed.  ``_steps[i]`` holds (1+eta/b)^(-i) and
-        # c * sum_{j<=i} (1+eta/b)^(-j), so V_i = delta * first - second.
+        # V_0, V_1, ... and their integer cut-offs max(ceil(V_i), 0),
+        # extended as far as a report has needed.  ``_steps[i]`` holds
+        # (1+eta/b)^(-i) and c * sum_{j<=i} (1+eta/b)^(-j), so
+        # V_i = delta * first - second.
         self._levels: dict[int, tuple[list, list[int]]] = {}
         self._steps = [(Fraction(1), Fraction(0))]
         self._k_cap = math.ceil(math.log(cfg.capacity)
@@ -103,43 +95,28 @@ class DensityTracker:
                 stale.append(u)
 
     def _sync(self) -> None:
-        """Move each stale vertex from ``deg[u]`` to ``out_deg[u]``, one
-        level at a time: going up, u swaps with the first vertex of its
-        level, which then starts one place later; going down, with the last
-        vertex of its level, which then ends one place earlier.  Each step
-        is one swap and one counter step.  Then the maximum is the degree of
-        the first vertex."""
-        out_deg, deg = self.out_deg, self.deg
-        order, pos, ge = self.order, self.pos, self.ge
+        """Move each stale vertex from ``at[deg[u]]`` to ``at[out_deg[u]]``.
+        The maximum rises to the largest new degree, then walks down past
+        the levels left empty."""
+        out_deg, deg, at = self.out_deg, self.deg, self.at
         marked = self._marked
+        top = self._delta
         for u in self._stale:
             marked[u] = 0
-            d = deg[u]
             new = out_deg[u]
-            if new == d:
+            if new == deg[u]:
                 continue
+            at[deg[u]].remove(u)
             deg[u] = new
-            if new >= len(ge):
-                ge.extend([0] * (new + 1 - len(ge)))
-            i = pos[u]
-            while d < new:
-                d += 1
-                j = ge[d]
-                ge[d] = j + 1
-                w = order[j]
-                order[i], order[j] = w, u
-                pos[w], pos[u] = i, j
-                i = j
-            while d > new:
-                j = ge[d] - 1
-                ge[d] = j
-                d -= 1
-                w = order[j]
-                order[i], order[j] = w, u
-                pos[w], pos[u] = i, j
-                i = j
+            if new >= len(at):
+                at.extend(set() for _ in range(new + 1 - len(at)))
+            at[new].add(u)
+            if new > top:
+                top = new
         self._stale.clear()
-        self._delta = deg[order[0]]
+        while top and not at[top]:
+            top -= 1
+        self._delta = top
 
     @property
     def delta(self) -> int:
@@ -154,15 +131,15 @@ class DensityTracker:
 
     def count_at_least(self, t) -> int:
         """Number of vertices with out-degree >= t (t may be a Fraction)."""
-        if self._stale:
-            self._sync()
-        t = max(math.ceil(t), 0)
-        return self.ge[t] if t < len(self.ge) else 0
+        delta = self.delta
+        return sum(map(len, self.at[max(math.ceil(t), 0):delta + 1]))
 
     def vertices_at_least(self, t) -> list[int]:
-        """Vertices with out-degree >= t, degree descending; tied vertices
-        in no set order."""
-        return self.order[:self.count_at_least(t)]
+        """Vertices with out-degree >= t, degree descending, ties by id
+        ascending."""
+        delta = self.delta
+        levels = self.at[max(math.ceil(t), 0):delta + 1]
+        return [u for level in reversed(levels) for u in sorted(level)]
 
     def value(self) -> Fraction:
         """Raw estimate Delta(multigraph)/b, defined for every preset."""
@@ -180,31 +157,39 @@ class DensityTracker:
             levels = self._levels[delta] = ([Fraction(delta)], [delta])
         thresholds, cuts = levels
         grow, base = self._grow
-        sizes = [self.count_at_least(delta)]
-        k = -1
-        for i in range(1, self._k_cap + 2):
+        # One walk from delta down: after step i, ``vertices`` is T_i, level
+        # by level, each sorted by id, and ``size`` is |T_i|.
+        at = self.at
+        vertices = []
+        size = prev = 0
+        d = delta
+        for i in range(self._k_cap + 2):
             if i == len(cuts):
                 self._extend(delta, thresholds, cuts)
-            sizes.append(self.count_at_least(cuts[i]))
-            if base * sizes[i] < grow * sizes[i - 1]:
-                k = i - 1
+            while d >= cuts[i]:
+                if at[d]:
+                    size += len(at[d])
+                    vertices += sorted(at[d])
+                d -= 1
+            if i and base * size < grow * prev:
                 break
-        if k < 0:
+            prev = size
+        else:
             raise CorruptionError(
                 "no qualifying threshold index within the growth cap; "
                 "the (1+gamma)^k <= n argument excludes this")
-        vertices = sorted(self.vertices_at_least(cuts[k + 1]))
-        vertices.sort(key=self.deg.__getitem__, reverse=True)
+        k = i - 1
         return DensityReport(
             estimate=Fraction(delta, cfg.b),
             k=k,
-            subgraph_size=sizes[k + 1],
+            subgraph_size=size,
             thresholds=thresholds[:k + 2],
             vertices=vertices,
         )
 
     def _extend(self, delta: int, thresholds: list, cuts: list) -> None:
-        """Append V_i and ceil(V_i), i = len(thresholds), to delta's lists."""
+        """Append V_i and max(ceil(V_i), 0), i = len(thresholds), to
+        delta's lists."""
         i = len(thresholds)
         steps = self._steps
         if i == len(steps):
@@ -214,38 +199,28 @@ class DensityTracker:
         power, offset = steps[i]
         v = delta * power - offset
         thresholds.append(v)
-        cuts.append(math.ceil(v))
+        cuts.append(max(math.ceil(v), 0))
 
     # ------------------------------------------------------------------
     # Audits.
     # ------------------------------------------------------------------
 
     def violations(self, engine) -> list[str]:
-        """Recount from ``engine.out_deg``, after a sync: every vertex placed
-        at its degree, permutation and inverse, degrees non-increasing along
-        ``order``, ``ge`` by counting sort, ``delta``."""
+        """Recount from ``engine.out_deg``, after a sync: the placed degrees,
+        each u in ``at[deg[u]]`` with the set sizes summing to n, ``delta``."""
         bad = []
         delta = self.delta
         deg = engine.out_deg
         if self.deg != deg:
             bad.append("density tracker missed a degree change")
-        order = self.order
-        if sorted(order) != list(range(self.n)) \
-                or any(self.pos[u] != i for i, u in enumerate(order)):
-            bad.append("density tracker order/pos is not a permutation")
-        elif any(deg[u] < deg[w] for u, w in zip(order, order[1:])):
-            bad.append("density tracker order is not degree-descending")
-        top = max(deg, default=0)
-        if delta != top:
+        at = self.at
+        if sum(map(len, at)) != self.n or any(
+                d >= len(at) or u not in at[d]
+                for u, d in enumerate(self.deg)):
+            bad.append("density tracker sets do not file each vertex once, "
+                       "at its placed degree")
+        if delta != max(deg, default=0):
             bad.append("density tracker max degree is stale")
-        ge = self.ge
-        want = [0] * (max(top + 1, len(ge)) + 1)
-        for x in deg:
-            want[x] += 1
-        for d in range(len(want) - 2, -1, -1):
-            want[d] += want[d + 1]
-        if top >= len(ge) or ge != want[:len(ge)]:
-            bad.append("density tracker counts disagree with a recount")
         return bad
 
     def no_escape_violations(self, report: DensityReport,

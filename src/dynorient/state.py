@@ -141,15 +141,18 @@ class OrientationEngine:
         # 0..(N-1)*b a vertex can reach.  Exact mode keys by the degree
         # itself; perceived mode by cfg.bucket_index(d), tabulated by one
         # walk over the sorted thresholds (a degree below thresholds[j],
-        # and not below those before it, has key j - 1).
+        # and not below those before it, has key j - 1).  Each run of
+        # degrees is filled by one slice, so the table holds one int object
+        # per key, not a fresh one per degree above 256; low thresholds
+        # repeat, and a repeat fills nothing.
         size = (n - 1) * cfg.b + 1
         if fast:
-            key_of = [0] * size
+            key_of = []
             d = 0
             for j, t in enumerate(cfg.bucket_thresholds() + [size]):
-                while d < t:
-                    key_of[d] = j - 1
-                    d += 1
+                if d < t:
+                    key_of += [j - 1] * (t - d)
+                    d = t
         else:
             key_of = list(range(size))
         self.key_of = key_of

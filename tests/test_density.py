@@ -64,9 +64,9 @@ def test_tracker_matches_true_maximum_under_churn(any_preset_cfg):
                       d + Fraction(1, 3), d + 1, 10 * d + 7):
                 assert tracker.count_at_least(t) == \
                     sum(x >= t for x in deg), t
-                got = tracker.vertices_at_least(t)
-                assert set(got) == {v for v, x in enumerate(deg) if x >= t}
-                assert all(deg[a] >= deg[b] for a, b in zip(got, got[1:]))
+                want = [v for v, x in enumerate(deg) if x >= t]
+                assert tracker.vertices_at_least(t) == \
+                    sorted(want, key=lambda v: (-deg[v], v)), t
 
 
 class _SwapTracker:
@@ -143,13 +143,15 @@ def _check_report(tracker, reference, deg):
 
 @st.composite
 def _walks(draw):
-    """2 <= n <= 8 and moves (kind, vertex, k), 1 <= k <= 5: '+' and '-'
+    """2 <= n <= 12 and moves (kind, vertex, k), 1 <= k <= 64: '+' and '-'
     move a vertex by k (not below 0); '0' drops a vertex to 0; 'T' moves
-    every vertex of the top degree down by k; '?' reads the tracker."""
-    n = draw(st.integers(2, 8))
-    moves = draw(st.lists(st.tuples(st.sampled_from("+-0T?"),
+    every vertex of the top degree down by k; 'D' drops a unique top vertex
+    to k below the lowest of the rest (not below 0); '?' reads the
+    tracker."""
+    n = draw(st.integers(2, 12))
+    moves = draw(st.lists(st.tuples(st.sampled_from("+-0TD?"),
                                     st.integers(0, n - 1),
-                                    st.integers(1, 5)), max_size=60))
+                                    st.integers(1, 64)), max_size=60))
     return n, moves
 
 
@@ -160,6 +162,9 @@ def _walks(draw):
               ("+", 1, 1)]))
 @example((4, [("+", 3, 5), ("?", 0, 1), ("-", 3, 5), ("+", 3, 4),
               ("-", 3, 1), ("?", 0, 1)]))
+@example((5, [("+", 0, 3), ("+", 1, 2), ("+", 4, 64), ("?", 0, 1),
+              ("D", 0, 1), ("?", 0, 1), ("+", 2, 60), ("+", 2, 60),
+              ("?", 0, 1), ("D", 0, 64)]))
 @given(_walks())
 def test_tracker_follows_unit_walks(walk):
     # Degrees jump by several levels at once, some of them up and back
@@ -181,14 +186,17 @@ def test_tracker_follows_unit_walks(walk):
         tracker.degree_changed((u,))
 
     def read():
+        # Counts change only at the degrees held, so probe those, the
+        # levels just above them, and a few cuts off the levels.
         top = max(deg)
         assert tracker.delta == top
-        for t in list(range(-1, top + 3)) + [Fraction(top, 3)]:
-            want = {v for v, x in enumerate(deg) if x >= t}
+        probes = {-1, 0, top + 2, Fraction(top, 3), *deg}
+        probes.update(x + 1 for x in deg)
+        for t in probes:
+            want = [v for v, x in enumerate(deg) if x >= t]
             assert tracker.count_at_least(t) == len(want), t
-            got = tracker.vertices_at_least(t)
-            assert set(got) == want, t
-            assert all(deg[a] >= deg[b] for a, b in zip(got, got[1:]))
+            assert tracker.vertices_at_least(t) == \
+                sorted(want, key=lambda v: (-deg[v], v)), t
         assert tracker.violations(stub) == []
         _check_report(tracker, reference, deg)
 
@@ -203,6 +211,11 @@ def test_tracker_follows_unit_walks(walk):
             top = max(deg)
             for v in [v for v in range(n) if top and deg[v] == top]:
                 move(v, max(top - k, 0))
+        elif kind == "D":
+            top = max(deg)
+            if deg.count(top) == 1:
+                v = deg.index(top)
+                move(v, max(min(deg[:v] + deg[v + 1:]) - k, 0))
         else:
             read()
     read()

@@ -253,13 +253,21 @@ def test_audit_flags_injected_corruption():
     assert len(bad) == 1 and "stale" in bad[0]
     tracker._delta -= 1
     assert audit_state(stack) == []
-    # two vertices of different degree trade places in the sorted order
-    deg = stack.engine.out_deg
-    order = tracker.order
-    i = next(i for i in range(1, 16) if deg[order[i]] != deg[order[0]])
-    order[0], order[i] = order[i], order[0]
-    assert any("density tracker" in line for line in audit_state(stack))
-    order[0], order[i] = order[i], order[0]
+    # a vertex filed under the wrong degree
+    u = max(range(16), key=stack.engine.out_deg.__getitem__)
+    home, wrong = tracker.at[tracker.deg[u]], tracker.at[0]
+    home.remove(u)
+    wrong.add(u)
+    bad = audit_state(stack)
+    assert len(bad) == 1 and "density tracker sets" in bad[0]
+    wrong.remove(u)
+    home.add(u)
+    assert audit_state(stack) == []
+    # a vertex dropped from every set
+    home.remove(u)
+    bad = audit_state(stack)
+    assert len(bad) == 1 and "density tracker sets" in bad[0]
+    home.add(u)
     assert audit_state(stack) == []
     # a corrupted recorded degree is caught by the structural sweep
     engine = stack.engine

@@ -1,5 +1,6 @@
 """Ring mechanics, bucket moves, structural audits, event reconstruction."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,22 @@ def test_key_table_with_repeated_thresholds():
     ts = cfg.bucket_thresholds()
     assert len(set(ts)) < len(ts)
     _check_key_table(cfg)
+
+
+def test_stack_build_allocation_is_bounded():
+    # eps-density at n = 100,000 tabulates 8.0 M keys.  Filled a run of
+    # degrees at a time, the table holds one int object per key, and the
+    # build's traced peak stays near the list itself (about 90 MB); a fresh
+    # int per degree would add some 240 MB.
+    cfg = OrientationConfig.eps_density(100_000, Fraction(1, 2))
+    tracemalloc.start()
+    try:
+        stack = OrientationStack(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stack.engine.key_of) == (cfg.capacity - 1) * cfg.b + 1
+    assert peak < 150 * 2**20, peak
 
 
 def test_full_state_audit_clean_after_fuzz(any_preset_cfg):
