@@ -16,8 +16,10 @@ empty one is in neither:
   recorded (exact or perceived) out-degree in O(1).  The chain is the only
   index of its buckets: a new entry finds its bucket by walking down from
   the top, and a re-key walks from the entry's current bucket, which a
-  refresh moves across O(1) buckets.  Only ``_bn_splice`` links a bucket
-  node into a chain and only ``_bn_unlink`` takes an emptied one out.
+  refresh moves across O(1) buckets.  Only ``_bn_splice`` links a new
+  bucket node into a chain and only ``_bn_unlink`` takes an emptied one
+  out; ``move_bucket`` relinks the node of an entry alone in its bucket
+  itself, so a re-key that would empty one node to fill another keeps it.
 
 Insertion routes each new copy and, while the chain head would violate the
 invariant against the out-neighbor its scan picks, flips that copy and
@@ -27,10 +29,11 @@ the perceived-degree mode share these chains and differ in four places,
 all fixed when the engine is built:
 
 * The insert scan.  Exact mode takes the argmin of d+ over the whole ring
-  (first hit in ring order wins ties).  Perceived mode scans at most the
-  window from the round-robin cursor and flips at the first violation it
-  sees, checked against *exact* degrees; every entry it passes over learns
-  the head's degree.
+  (first hit in ring order from the cursor wins ties).  Perceived mode
+  scans at most the window from the round-robin cursor and flips at the
+  first violation it sees, checked against *exact* degrees, leaving the
+  cursor just after it; every entry it passes over learns the head's
+  degree.
 * The refresh window.  A committed degree change is told to the next
   ``window`` out-neighbors from the cursor.  In exact mode the window is n,
   so no ring outgrows it and every out-neighbor hears of each change.  In
@@ -65,11 +68,11 @@ deletion chain, which re-keys the one entry it reads, the top of a head's
 in-buckets, when stale (``OrientationEngine.delete`` says why that is
 enough), and the flush; the scan and a copy joining a live entry do not.
 That loses nothing: an update defers only while every ring fits the
-window, so every recorded degree was exact when it began; only
-``_commit`` changes ``out_deg`` and it puts the vertex in ``pending``; and
-every re-key writes the tail's exact degree.  So an entry that records
-another degree than its tail's has its tail in ``pending``, and the flush
-re-keys it.  ``OrientationEngine.insert`` says why waiting changes no
+window, so every recorded degree was exact when it began; only a chain's
+commit changes ``out_deg``, and while the update defers it puts the vertex
+in ``pending``; and every re-key writes the tail's exact degree.  So an
+entry that records another degree than its tail's has its tail in
+``pending``, and the flush re-keys it.  ``OrientationEngine.insert`` says why waiting changes no
 outcome and why the flush keeps the bucket sibling order.  The degree
 listener waits too: the flush names the update's committed vertices to it
 in one call, and it reads their degrees when it next needs them.
@@ -97,14 +100,15 @@ class OrientationEngine:
 
     ``insert`` and ``delete`` each run one loop over the edge's b copies:
     place or drain the copy, then walk its flip chain.  After a copy is
-    added the chain flips toward the out-neighbor that ``_scan`` picks
-    until the scan finds none; after a copy is removed it flips toward the
-    in-neighbor with the largest recorded degree while the guard holds.
-    Flips go through ``_flip_copy``, the final ±1 through ``_commit``, the
-    ring update through ``_refresh`` and every re-key through
-    ``move_bucket``.  An insert or a delete defers the refreshes to its end
-    (``pending``, flushed by ``_flush``) while every ring fits in the
-    window, which is always in exact mode; a deletion chain re-keys the one
+    added the chain flips toward the out-neighbor that its inline ring scan
+    picks until the scan finds none; after a copy is removed it flips
+    toward the in-neighbor with the largest recorded degree while the guard
+    holds.  Flips go through ``_flip_copy``, the ring update through
+    ``_refresh`` and every re-key through ``move_bucket``.  An insert or a
+    delete defers the refreshes to its end (``pending``, flushed by
+    ``_flush``) while every ring fits in the window, which is always in
+    exact mode, and then commits each final ±1 inline; otherwise the ±1
+    goes through ``_commit_at_once``.  A deletion chain re-keys the one
     stale entry it reads.  ``cfg.is_fast()`` picks the mode once, here:
     the scan, the window, the bucket key (exact degree, or its geometric
     index) and the guard.  The engine also owns the pair registry (a pair
@@ -132,11 +136,6 @@ class OrientationEngine:
         self.b = cfg.b
         # True in perceived-degree mode, False in exact-degree mode.
         self.fast_mode = fast = cfg.is_fast()
-        # The insert scan of this mode as a plain function, called with the
-        # engine: a bound method kept on the engine would be a reference
-        # cycle, and a dropped engine would wait for the cyclic collector.
-        self._scan = (OrientationEngine._scan_window if fast
-                      else OrientationEngine._scan_argmin)
         # key_of[d]: the bucket key of recorded degree d, for every degree
         # 0..(N-1)*b a vertex can reach.  Exact mode keys by the degree
         # itself; perceived mode by cfg.bucket_index(d), tabulated by one
@@ -260,10 +259,14 @@ class OrientationEngine:
         once would have put it above those whose last move came first.
         Either order is a valid tie-break.
 
-        The engine's ``_flip_copy``, ``_commit`` and ``move_bucket`` are
-        looked up once per update, like its lists, so a wrapper set on the
-        instance between updates sees every flip, commit and re-key of the
-        next one."""
+        The scan runs inline, by its mode's rule (see the module
+        docstring), and so does the commit while the update defers;
+        otherwise the commit is ``_commit_at_once``.  The engine's
+        ``_flip_copy`` and ``move_bucket`` are looked up once per update,
+        like its lists, so a wrapper set on the instance between updates
+        sees every flip and re-key of the next one.  The recorder hears of
+        each commit as an ``OUT_DEGREE_CHANGED`` event, emitted once the
+        vertex is filed in ``pending``."""
         self.check_sound()
         self._check_pair(u, v)
         a, c = (u, v) if u < v else (v, u)
@@ -274,16 +277,22 @@ class OrientationEngine:
             pid = self._pair_alloc(a, c)
             self.last_copy_flips = self.last_chain = 0
             self.last_suppressed = self.last_scan = 0
+            fast = self.fast_mode
+            lhs, rhs, add = self.guard
+            window = self.window
             out_deg = self.out_deg
+            out_sz = self.out_sz
+            cursor = self.cursor
             e_cnt = self.e_cnt
             e_head = self.e_head
             e_perc = self.e_perc
-            scan = self._scan
+            rn_next = self.rn_next
             flip = self._flip_copy
-            commit = self._commit
             move = self.move_bucket
             rec = self.recorder
-            longest = 0
+            audit = self._audit_post_increment if self.audit_hooks else None
+            audits_due = self._audits_due
+            longest = scanned = 0
             self.pending = None if self.long_rings else {}
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] <= out_deg[v] else (v, u)
@@ -299,16 +308,69 @@ class OrientationEngine:
                 if rec is not None:
                     rec.emit(ev.COPY_ADDED, t, h)
                 chain = 0
-                e = scan(self, t, dt)
-                while e >= 0:
-                    t = e_head[e]
-                    flip(e)
+                while True:
+                    # Scan t's ring (t at degree dt, before the +1) for the
+                    # entry x to flip next; x < 0 commits at t.
+                    x = -1
+                    k = out_sz[t]
+                    e = cursor[t]
+                    if fast:
+                        if window < k:
+                            k = window
+                        rekey = self.pending is None
+                        bound = lhs * (dt + 1)
+                        for _ in range(k):
+                            nxt = rn_next[e]
+                            dx = out_deg[e_head[e]]
+                            if bound > rhs * dx + add:
+                                if dx < dt:
+                                    x = e
+                                    e = nxt
+                                    break
+                                self.last_suppressed += 1
+                                self.total_suppressed += 1
+                            if rekey and e_perc[e] != dt:
+                                move(e, dt)
+                            e = nxt
+                        cursor[t] = e
+                    else:
+                        best = -1
+                        best_d = 0
+                        for _ in range(k):
+                            dx = out_deg[e_head[e]]
+                            if best < 0 or dx < best_d:
+                                best = e
+                                best_d = dx
+                            e = rn_next[e]
+                        if best >= 0 and lhs * (dt + 1) > rhs * best_d + add:
+                            if best_d < dt:
+                                x = best
+                            else:
+                                self.last_suppressed += 1
+                                self.total_suppressed += 1
+                    scanned += k
+                    if x < 0:
+                        break
+                    t = e_head[x]
+                    flip(x)
                     chain += 1
-                    e = scan(self, t, out_deg[t])
+                    dt = out_deg[t]
                 if chain > longest:
                     longest = chain
-                commit(t, 1)
+                pending = self.pending
+                if pending is None:
+                    self._commit_at_once(t, 1)
+                else:
+                    dt += 1
+                    out_deg[t] = dt
+                    pending.pop(t, None)
+                    pending[t] = None
+                    if rec is not None:
+                        rec.emit(ev.OUT_DEGREE_CHANGED, t, t, dt)
+                    if audit is not None:
+                        audits_due.append((audit, t))
             self.last_chain = longest
+            self.last_scan = scanned
             if self.pending is not None:
                 self._flush()
             if self._regained:
@@ -333,16 +395,16 @@ class OrientationEngine:
         with the largest recorded degree violates the guard against t, flip
         its copy, then commit the -1 where the chain stopped.
 
-        Refreshes are deferred as in ``insert``.  While the update defers,
-        the chain reads only the top entry of each head's in-buckets, and
-        re-keys it first if it records another degree than its tail's.
-        That is enough: every recorded degree was exact when the update
-        began and only -1s have been committed since, so a stale one is too
-        high and its key is at or above the true one.  A fresh top entry
-        therefore has the largest true key.  Other entries wait for the
-        flush.  A flip can push a ring past the window, which flushes and
-        ends the deferral mid-delete, so the chain reads ``self.pending`` at
-        every read rather than once.  Without a deferral the recorded
+        Refreshes are deferred, and commits made, as in ``insert``.  While
+        the update defers, the chain reads only the top entry of each
+        head's in-buckets, and re-keys it first if it records another
+        degree than its tail's.  That is enough: every recorded degree was
+        exact when the update began and only -1s have been committed since,
+        so a stale one is too high and its key is at or above the true one.
+        A fresh top entry therefore has the largest true key.  Other entries
+        wait for the flush.  A flip can push a ring past the window, which
+        flushes and ends the deferral mid-delete, so the chain reads
+        ``self.pending`` at every read and every commit rather than once.  Without a deferral the recorded
         degrees are the perceived ones and are read as they stand.
         """
         self.check_sound()
@@ -367,8 +429,9 @@ class OrientationEngine:
             top_bucket = self.top_bucket
             bn_head = self.bn_head
             flip = self._flip_copy
-            commit = self._commit
             move = self.move_bucket
+            audit = self._audit_post_decrement if self.audit_hooks else None
+            audits_due = self._audits_due
             longest = 0
             self.pending = None if self.long_rings else {}
             for _ in range(self.b):
@@ -411,7 +474,18 @@ class OrientationEngine:
                     t = x
                 if chain > longest:
                     longest = chain
-                commit(t, -1)
+                pending = self.pending
+                if pending is None:
+                    self._commit_at_once(t, -1)
+                else:
+                    dt = out_deg[t] - 1
+                    out_deg[t] = dt
+                    pending.pop(t, None)
+                    pending[t] = None
+                    if rec is not None:
+                        rec.emit(ev.OUT_DEGREE_CHANGED, t, t, dt)
+                    if audit is not None:
+                        audits_due.append((audit, t))
             self.last_chain = longest
             if self.pending is not None:
                 self._flush()
@@ -602,11 +676,11 @@ class OrientationEngine:
         the chain from the entry's current bucket toward the new key and
         stop at the bucket holding it or at the slot for it; a refresh moves
         a key across O(1) buckets, so the walk is short.  An entry alone in
-        its bucket, moving to a key no bucket holds yet with no bucket lying
-        between the two keys, keeps its node: the node is re-keyed in place,
-        since the chain order is already right.  Otherwise a new node is
-        spliced into the slot before the entry leaves its old one, which is
-        unlinked if that empties it.
+        its bucket, moving to a key no bucket holds yet, keeps its node: the
+        node is re-keyed, and relinked into the slot if a bucket lies
+        between the two keys (with none, the chain order is already right).
+        Otherwise a new node is spliced into the slot before the entry
+        leaves its old one, which is unlinked if that empties it.
         """
         e_bnode = self.e_bnode
         bn = e_bnode[eid]
@@ -642,8 +716,26 @@ class OrientationEngine:
             above, below = p, bn_next[p]
             target = below
         if target < 0 or bn_key[target] != key:
-            if p == bn and prv < 0 and nxt < 0:
+            if prv < 0 and nxt < 0:
                 bn_key[bn] = key
+                if p != bn:
+                    top_bucket = self.top_bucket
+                    bp = bn_prev[bn]
+                    bq = bn_next[bn]
+                    if bp >= 0:
+                        bn_next[bp] = bq
+                    else:
+                        top_bucket[v] = bq
+                    if bq >= 0:
+                        bn_prev[bq] = bp
+                    bn_prev[bn] = above
+                    bn_next[bn] = below
+                    if above >= 0:
+                        bn_next[above] = bn
+                    else:
+                        top_bucket[v] = bn
+                    if below >= 0:
+                        bn_prev[below] = bn
                 return
             # Splice before the detach below can recycle the current node.
             target = self._bn_splice(v, key, above, below)
@@ -686,8 +778,9 @@ class OrientationEngine:
     # hears of those, since a pair is invisible to it while its copies are
     # placed or drained.  _flip_copy is the one way a copy changes sides;
     # it keeps the counts of both entries itself and links or unlinks an
-    # entry only when it fills or empties.  _commit is the one way an
-    # out-degree changes, and _refresh tells it to the out-neighbors.
+    # entry only when it fills or empties.  A chain's commit, inline or
+    # _commit_at_once, is the one way an out-degree changes, and _refresh
+    # tells it to the out-neighbors.
     # ------------------------------------------------------------------
 
     def _flip_copy(self, eid: int) -> None:
@@ -737,55 +830,53 @@ class OrientationEngine:
         if self.audit_hooks:
             self._audit_critical_ineq(t, h)
 
-    def _commit(self, u: int, step: int) -> None:
-        """Move u's out-degree by ``step`` (+1 or -1), where an insertion
-        (+1) or deletion (-1) chain stopped, and announce it to the
-        recorder.  Without ``pending`` the degree listener is handed
-        ``(u,)`` and the out-neighbors hear of it at once through
-        ``_refresh``, and audit builds then run the post-increment or
-        post-decrement audit of u.  With it, u moves to the end of
-        ``pending``, and ``_flush`` names it to the listener, refreshes its
-        ring and runs the audit.  Only commits change ``out_deg``, so the
-        flush reads u's latest degree there."""
+    def _commit_at_once(self, u: int, step: int) -> None:
+        """Commit a chain's ``step`` (+1 or -1) at u, where it stopped, in
+        an update that does not defer: move u's out-degree, announce it to
+        the recorder, hand the degree listener ``(u,)``, tell the
+        out-neighbors through ``_refresh`` and, in audit builds, run the
+        post-increment or post-decrement audit of u.  A deferring update
+        commits inline instead: u moves to the end of ``pending``, and
+        ``_flush`` names it to the listener, refreshes its ring and runs
+        the audit.  Only commits change ``out_deg``, so the flush reads u's
+        latest degree there."""
         d = self.out_deg[u] + step
         self.out_deg[u] = d
         rec = self.recorder
         if rec is not None:
             rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
-        pending = self.pending
-        if pending is None:
-            self.degree_listener.degree_changed((u,))
-            self._refresh(u)
-        else:
-            pending.pop(u, None)
-            pending[u] = None
+        self.degree_listener.degree_changed((u,))
+        self._refresh((u,))
         if self.audit_hooks:
-            audit = (self._audit_post_increment if step > 0
-                     else self._audit_post_decrement)
-            if pending is None:
-                audit(u)
+            if step > 0:
+                self._audit_post_increment(u)
             else:
-                self._audits_due.append((audit, u))
+                self._audit_post_decrement(u)
 
-    def _refresh(self, u: int) -> None:
-        """Tell the next ``window`` out-neighbors of u, from its cursor,
-        u's current out-degree d, leaving the cursor after the last one
-        told.  Only entries whose recorded degree differs are moved, each
-        through ``self.move_bucket``.
+    def _refresh(self, vertices) -> None:
+        """Tell the next ``window`` out-neighbors of each vertex u in
+        ``vertices``, from u's cursor, u's current out-degree, leaving the
+        cursor after the last one told.  Only entries whose recorded degree
+        differs are moved, each through ``self.move_bucket``.
         """
-        d = self.out_deg[u]
-        k = self.out_sz[u]
-        if self.window < k:
-            k = self.window
-        move = self.move_bucket
+        window = self.window
+        out_deg = self.out_deg
+        out_sz = self.out_sz
+        cursor = self.cursor
         e_perc = self.e_perc
         rn_next = self.rn_next
-        e = self.cursor[u]
-        for _ in range(k):
-            if e_perc[e] != d:
-                move(e, d)
-            e = rn_next[e]
-        self.cursor[u] = e
+        move = self.move_bucket
+        for u in vertices:
+            d = out_deg[u]
+            k = out_sz[u]
+            if window < k:
+                k = window
+            e = cursor[u]
+            for _ in range(k):
+                if e_perc[e] != d:
+                    move(e, d)
+                e = rn_next[e]
+            cursor[u] = e
 
     def _refresh_regained(self) -> None:
         """Refresh the whole ring of each vertex whose ring shrank back to
@@ -795,91 +886,26 @@ class OrientationEngine:
         degrees.  A ring that outgrew the window again is left as it is.
         Never in exact mode, where no ring reaches the window n."""
         regained = self._regained
-        for u in regained:
-            if self.out_sz[u] <= self.window:
-                self._refresh(u)
+        out_sz = self.out_sz
+        self._refresh([u for u in regained if out_sz[u] <= self.window])
         regained.clear()
 
     def _flush(self) -> None:
         """Stop deferring: hand the degree listener the pending vertices in
         one call, then run the refreshes an insert or a delete deferred,
         each pending ring once with its vertex's latest degree, in
-        last-commit order (see ``insert`` for why that order); then the
-        audits of the deferred commits.  Entries a deletion chain already
-        re-keyed record that degree and are not moved again."""
+        last-commit order (see ``insert`` for why that order), in one
+        ``_refresh`` call; then the audits of the deferred commits.
+        Entries a deletion chain already re-keyed record that degree and
+        are not moved again."""
         pending = self.pending
         self.pending = None
         self.degree_listener.degree_changed(pending)
-        for w in pending:
-            self._refresh(w)
+        self._refresh(pending)
         if self.audit_hooks:
             for audit, w in self._audits_due:
                 audit(w)
             self._audits_due.clear()
-
-    # ------------------------------------------------------------------
-    # Insert scans.
-    # ------------------------------------------------------------------
-
-    # ``_scan(self, t, dt)``, one of the two below, picked in ``__init__``:
-    # the entry of the out-neighbor the chain at t (out-degree dt, before
-    # the +1) flips toward next, or -1 to commit at t.
-
-    def _scan_argmin(self, t: int, dt: int) -> int:
-        # Exact mode: x <- argmin d+ over N+(t); first hit in ring order
-        # wins ties.
-        out_deg = self.out_deg
-        e_head = self.e_head
-        rn_next = self.rn_next
-        sz = self.out_sz[t]
-        best = -1
-        best_d = 0
-        e = self.cursor[t]
-        for _ in range(sz):
-            d = out_deg[e_head[e]]
-            if best < 0 or d < best_d:
-                best = e
-                best_d = d
-            e = rn_next[e]
-        self.last_scan += sz
-        lhs, rhs, add = self.guard
-        if best >= 0 and (dt + 1) * lhs > rhs * best_d + add:
-            if best_d < dt:
-                return best
-            self.last_suppressed += 1
-            self.total_suppressed += 1
-        return -1
-
-    def _scan_window(self, t: int, dt: int) -> int:
-        # Perceived mode: first violation within the window from the cursor,
-        # checked against exact degrees; every entry passed over learns t's
-        # degree, unless the update defers (see insert).
-        rekey = self.pending is None
-        lhs, rhs, add = self.guard
-        lhs *= dt + 1
-        out_deg = self.out_deg
-        e_head = self.e_head
-        e_perc = self.e_perc
-        rn_next = self.rn_next
-        k = self.out_sz[t]
-        if self.window < k:
-            k = self.window
-        self.last_scan += k
-        e = self.cursor[t]
-        for _ in range(k):
-            nxt = rn_next[e]
-            dx = out_deg[e_head[e]]
-            if lhs > rhs * dx + add:
-                if dx < dt:
-                    self.cursor[t] = nxt
-                    return e
-                self.last_suppressed += 1
-                self.total_suppressed += 1
-            if rekey and e_perc[e] != dt:
-                self.move_bucket(e, dt)
-            e = nxt
-        self.cursor[t] = e
-        return -1
 
     # ------------------------------------------------------------------
     # Pair registry plumbing.

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from dynorient import OrientationConfig, OrientationStack
+from dynorient.events import OUT_DEGREE_CHANGED
 from dynorient.oracles import audit_state
 
 
@@ -16,6 +17,19 @@ def clique_edges(k, offset=0):
 
 def path_edges(lo, hi):
     return [(v, v + 1) for v in range(lo, hi - 1)]
+
+
+class OnCommit:
+    """An event recorder that calls ``fn(u)`` on each ``OUT_DEGREE_CHANGED``
+    event, which the engine emits once per commit, after moving u's
+    out-degree and, inside a deferring update, filing u in ``pending``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def emit(self, kind, u, v, payload=None):
+        if kind == OUT_DEGREE_CHANGED:
+            self.fn(u)
 
 
 class Fuzzer:

@@ -19,7 +19,7 @@ from dynorient import (
 from dynorient.oracles import audit_state
 from dynorient.workload import generate, parse_workload
 
-from conftest import ALL_PRESETS, Fuzzer, clique_edges
+from conftest import ALL_PRESETS, Fuzzer, OnCommit, clique_edges
 
 
 def _absent_pair(stack, n):
@@ -211,19 +211,17 @@ def test_delete_that_raises_leaves_no_deferral_behind(preset):
     fz = Fuzzer(stack, seed=5)
     fz.run(40)
     engine = stack.engine
-    commit = engine._commit
     calls = 0
 
-    def failing(u, step):
+    def failing(u):
         # The third commit raises while the delete still defers.
         nonlocal calls
-        commit(u, step)
         calls += 1
         if calls == 3:
             assert engine.pending
             raise RuntimeError("commit failed")
 
-    engine._commit = failing
+    engine.recorder = OnCommit(failing)
     op = engine.updates
     with pytest.raises(RuntimeError):
         stack.delete(*sorted(fz.live_set)[0])
@@ -280,7 +278,8 @@ def test_a_stale_entry_inside_a_deferral_has_a_pending_tail(preset, width):
     # chain's top read and the flush.  That is sound only if every entry
     # that records another degree than its tail's out-degree has its tail
     # in ``pending``, so the flush re-keys it; check that after every flip
-    # and every commit of a deferring update.
+    # and every commit (its ``OUT_DEGREE_CHANGED`` event) of a deferring
+    # update.
     cfg = dict(ALL_PRESETS)[preset](30)
     if width is not None:
         cfg.rr_width = width
@@ -290,21 +289,24 @@ def test_a_stale_entry_inside_a_deferral_has_a_pending_tail(preset, width):
     out_deg = engine.out_deg
     stale_seen = 0
 
-    def checked(fn):
-        def call(*args):
-            nonlocal stale_seen
-            fn(*args)
-            pending = engine.pending
-            if pending is None:
-                return
-            for eid, cnt in enumerate(e_cnt):
-                if cnt and e_perc[eid] != out_deg[e_tail[eid]]:
-                    assert e_tail[eid] in pending, (eid, engine.updates)
-                    stale_seen += 1
-        return call
+    def check():
+        nonlocal stale_seen
+        pending = engine.pending
+        if pending is None:
+            return
+        for eid, cnt in enumerate(e_cnt):
+            if cnt and e_perc[eid] != out_deg[e_tail[eid]]:
+                assert e_tail[eid] in pending, (eid, engine.updates)
+                stale_seen += 1
 
-    engine._flip_copy = checked(engine._flip_copy)
-    engine._commit = checked(engine._commit)
+    flip_copy = engine._flip_copy
+
+    def flip(eid):
+        flip_copy(eid)
+        check()
+
+    engine._flip_copy = flip
+    engine.recorder = OnCommit(lambda u: check())
     Fuzzer(stack, seed=3).run(400)
     assert stale_seen > 0
     assert audit_state(stack) == []
@@ -328,12 +330,10 @@ def test_commits_without_a_deferral_audit_at_once():
     edges = sorted(edges)
     rng.shuffle(edges)
     counts = {"commits": 0, "at once": 0, "audits": 0}
-    commit = engine._commit
 
-    def counted_commit(u, step):
+    def counted_commit(u):
         counts["commits"] += 1
         counts["at once"] += engine.pending is None
-        commit(u, step)
 
     def counted(audit):
         def call(u):
@@ -341,7 +341,7 @@ def test_commits_without_a_deferral_audit_at_once():
             audit(u)
         return call
 
-    engine._commit = counted_commit
+    engine.recorder = OnCommit(counted_commit)
     engine._audit_post_increment = counted(engine._audit_post_increment)
     engine._audit_post_decrement = counted(engine._audit_post_decrement)
     for u, v in edges:

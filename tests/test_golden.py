@@ -4,10 +4,10 @@ Each run attaches all four applications and an EventHasher and replays a
 seeded ``random`` or ``drifting-density`` workload.  The pinned values are
 the event digest and count, the engine's flip and suppression totals, the
 rounding's simple-flip total, SHA-256 digests of the final engine, rounding
-and application state, and the number of bucket re-keys.  A refactor or
-optimisation of the update path must leave every digest unchanged; an
-optimisation that saves re-keys, or a deliberate behaviour change, re-pins
-what it moves and says why.  ``replay``'s query answers are pinned too, on
+and application state, and the numbers of bucket re-keys and of bucket
+nodes allocated.  A refactor or optimisation of the update path must leave
+every digest unchanged; an optimisation that saves re-keys or nodes, or a
+deliberate behaviour change, re-pins what it moves and says why.  ``replay``'s query answers are pinned too, on
 one eps-density workload with queries.
 """
 
@@ -65,6 +65,18 @@ MOVES = {
     "eps-density": 107790,
 }
 
+# Bucket nodes ever allocated (``len(engine.bn_key)``) on the pinned
+# workload.  A node is allocated only when a splice finds the free list
+# empty; a re-key of an entry alone in its bucket to a key no bucket holds
+# moves that node itself, so it neither frees nor takes one.
+BUCKET_NODES = {
+    "simple-additive": 98,
+    "simple-multiplicative": 210,
+    "fast-additive": 156,
+    "fast-multiplicative": 188,
+    "eps-density": 194,
+}
+
 
 def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
@@ -74,7 +86,7 @@ def snapshot(preset: str, audit_hooks: bool = False, lines=None) -> tuple:
     """Replay workload ``lines`` under ``preset`` (by default the pinned
     ``random`` one); return the digests, the number of ``counts_changed``
     notifications rounding received and the number of ``move_bucket``
-    calls the engine made."""
+    calls the engine made, and the number of bucket nodes it allocated."""
     if lines is None:
         lines = generate("random", N, STEPS, seed=SEED, max_edges=2 * N)
     n, ops = parse_workload(lines)
@@ -114,17 +126,18 @@ def snapshot(preset: str, audit_hooks: bool = False, lines=None) -> tuple:
                  sorted(forests.by_edge.items()), matvec.s))
     return (f"{hasher.digest:016x}", hasher.count, engine.total_copy_flips,
             engine.total_suppressed, stack.rounding.total_simple_flips,
-            state, apps), notified, moves
+            state, apps), notified, moves, len(engine.bn_key)
 
 
 @pytest.mark.parametrize("preset", sorted(BUILDERS))
 def test_golden_digest(preset):
-    digests, notified, moves = snapshot(preset)
+    digests, notified, moves, nodes = snapshot(preset)
     assert digests == GOLDEN[preset]
     # Rounding hears of each majority crossing once, which reorients a
     # visible pair, and of no other copy change.
     assert notified == digests[4]
     assert moves == MOVES[preset]
+    assert nodes == BUCKET_NODES[preset]
 
 
 @pytest.mark.parametrize("preset",
@@ -132,7 +145,7 @@ def test_golden_digest(preset):
 def test_golden_digest_with_audit_hooks(preset):
     # The in-flight audits only read state: the same digests, and none of
     # them fails on the pinned workload.
-    digests, _, _ = snapshot(preset, audit_hooks=True)
+    digests, _, _, _ = snapshot(preset, audit_hooks=True)
     assert digests == GOLDEN[preset]
 
 
@@ -199,7 +212,7 @@ DENSE_GOLDEN = ("321305b053ec08e7", 66105, 3105, 327, 416,
 
 
 def test_golden_digest_dense_churn():
-    digests, notified, _ = snapshot(
+    digests, notified, _, _ = snapshot(
         "simple-multiplicative",
         lines=generate("random", N, 2 * STEPS, seed=SEED, max_edges=6 * N))
     assert digests == DENSE_GOLDEN
@@ -235,7 +248,7 @@ DRIFT_MOVES = {
 @pytest.mark.parametrize("preset", sorted(BUILDERS))
 def test_golden_digest_drifting_density(preset):
     lines = generate("drifting-density", DRIFT_N, 4000, seed=SEED, clique=16)
-    digests, notified, moves = snapshot(preset, lines=lines)
+    digests, notified, moves, _ = snapshot(preset, lines=lines)
     assert digests == DRIFT_GOLDEN[preset]
     assert notified == digests[4]
     assert moves == DRIFT_MOVES[preset]

@@ -15,9 +15,10 @@ from dynorient import (
     OrientationConfig,
     OrientationStack,
 )
+from dynorient import events as ev
 from dynorient.oracles import audit_state
 
-from conftest import Fuzzer
+from conftest import ALL_PRESETS, Fuzzer, OnCommit
 
 
 def _base_101_cfg():
@@ -192,18 +193,24 @@ class TestMoveBucket:
         assert len(engine.bn_key) == nodes
         assert check(engine) == []
 
-        # Alone, but a bucket lies between: spliced into the right slot.
+        # Alone, but a bucket lies between: the node is re-keyed and
+        # relinked into the right slot, and no node is taken or freed.
+        def relink(eid, degree, keys, top):
+            node = engine.e_bnode[eid]
+            sizes = (len(engine.bn_key), len(engine._bn_free))
+            engine.move_bucket(eid, degree)
+            assert engine.e_bnode[eid] == node
+            assert self._chain_keys(engine, 0) == keys
+            assert (len(engine.bn_key), len(engine._bn_free)) == sizes
+            assert engine.top_bucket[0] == engine.e_bnode[top]
+            assert next(engine.in_entries(0), -1) == top
+            assert check(engine) == []
+
         engine.move_bucket(ent[2], 3)
         assert self._chain_keys(engine, 0) == [4, 3, 1]
-        node = engine.e_bnode[ent[1]]
-        engine.move_bucket(ent[1], 2)
-        assert engine.e_bnode[ent[1]] != node
-        assert self._chain_keys(engine, 0) == [3, 2, 1]
-        assert check(engine) == []
-        engine.move_bucket(ent[3], 5)      # alone upward past two buckets
-        assert self._chain_keys(engine, 0) == [5, 3, 2]
-        assert next(engine.in_entries(0), -1) == ent[3]
-        assert check(engine) == []
+        relink(ent[1], 2, [3, 2, 1], top=ent[2])   # top node down one
+        relink(ent[3], 5, [5, 3, 2], top=ent[3])   # bottom node to the top
+        relink(ent[3], 1, [3, 2, 1], top=ent[2])   # top node to the bottom
 
         for e in ent.values():
             engine.move_bucket(e, 1)
@@ -293,26 +300,25 @@ def test_full_state_audit_clean_after_fuzz(any_preset_cfg):
 @pytest.mark.parametrize("preset", ["simple-multiplicative",
                                     "fast-multiplicative"])
 def test_wrappers_set_between_updates_see_the_next_ones(preset):
-    # insert and delete look up _flip_copy, _commit and move_bucket on the
-    # instance once per update, so wrappers set after the engine has run
-    # see every flip, commit and re-key of each later update.  A re-key
-    # made while the update still defers is a deletion chain's own re-key
-    # of a stale top entry.
+    # insert and delete look up _flip_copy, move_bucket and the recorder on
+    # the instance once per update, so wrappers and a recorder set after
+    # the engine has run see every flip, re-key and commit (its
+    # OUT_DEGREE_CHANGED event) of each later update.  A re-key made while
+    # the update still defers is a deletion chain's own re-key of a stale
+    # top entry.
     stack = OrientationStack(OrientationConfig.from_preset(preset, 24))
     engine = stack.engine
     fz = Fuzzer(stack, seed=5)
     fz.run(100)
     seen = {"flips": 0, "commits": 0, "moves": 0, "deferred": 0}
-    flip_copy, commit, move_bucket = (engine._flip_copy, engine._commit,
-                                      engine.move_bucket)
+    flip_copy, move_bucket = engine._flip_copy, engine.move_bucket
 
     def flip(eid):
         seen["flips"] += 1
         flip_copy(eid)
 
-    def counted_commit(u, step):
+    def counted_commit(u):
         seen["commits"] += 1
-        commit(u, step)
 
     def move(eid, degree):
         seen["moves"] += 1
@@ -320,7 +326,7 @@ def test_wrappers_set_between_updates_see_the_next_ones(preset):
         move_bucket(eid, degree)
 
     engine._flip_copy = flip
-    engine._commit = counted_commit
+    engine.recorder = OnCommit(counted_commit)
     engine.move_bucket = move
     totals = {True: dict.fromkeys(seen, 0), False: dict.fromkeys(seen, 0)}
     for _ in range(200):
@@ -335,6 +341,113 @@ def test_wrappers_set_between_updates_see_the_next_ones(preset):
     inserts, deletes = totals[True], totals[False]
     assert inserts["flips"] > 0 and inserts["moves"] > 0
     assert deletes["flips"] > 0 and deletes["deferred"] > 0
+
+
+class _ScanModel:
+    """Checks every insertion-chain scan against a reference scan.
+
+    The model is the engine's recorder and wraps its ``_flip_copy``, so it
+    sees the ring of each chain vertex c just before its scan (right after
+    the copy was added at c or flipped to c) and the scan's outcome just
+    after: the flip of the chosen entry, or the commit at c.  Exact mode
+    takes the argmin of the head degrees over the whole ring, the first in
+    ring order from the cursor winning ties.  Perceived mode takes the
+    first violation within the window from the cursor and leaves the
+    cursor right after it, or after the window.  A violation that would not
+    lower the chain's degree counts as a suppression."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        cfg = engine.cfg
+        s, theta = cfg.slack, cfg.theta
+        if cfg.is_fast():
+            self.fires = lambda dt, dx: dt + 1 > (1 + s / 2) * dx + theta
+        else:
+            self.fires = lambda dt, dx: not cfg.invariant_ok(dt + 1, dx)
+        self.at = None
+        self.seen = dict.fromkeys(("flips", "ties", "suppressed", "cut"), 0)
+        flip_copy = engine._flip_copy
+
+        def flip(eid):
+            chain = self.at is not None
+            if chain:
+                self.check(eid)
+            flip_copy(eid)
+            if chain:
+                self.look(engine.e_head[eid])
+
+        engine._flip_copy = flip
+        engine.recorder = self
+
+    def emit(self, kind, u, v, payload=None):
+        if kind == ev.COPY_ADDED:
+            self.look(u)
+        elif kind == ev.COPY_REMOVED:
+            self.at = None
+        elif kind == ev.OUT_DEGREE_CHANGED and self.at is not None:
+            assert self.at[0] == u
+            self.check(-1)
+            self.at = None
+
+    def look(self, c):
+        engine = self.engine
+        self.at = (c, engine.out_deg[c], list(engine.out_entries(c)),
+                   engine.last_suppressed)
+
+    def check(self, eid):
+        engine = self.engine
+        c, dt, ring, suppressed = self.at
+        degs = [engine.out_deg[engine.e_head[e]] for e in ring]
+        want = -1
+        if engine.fast_mode:
+            k = min(len(ring), engine.window)
+            stop = k
+            for i in range(k):
+                if self.fires(dt, degs[i]):
+                    if degs[i] < dt:
+                        want, stop = ring[i], i + 1
+                        break
+                    suppressed += 1
+            assert engine.cursor[c] == ring[stop % len(ring)]
+            self.seen["cut"] += k < len(ring)
+        else:
+            best = min(degs)
+            if self.fires(dt, best):
+                if best < dt:
+                    want = ring[degs.index(best)]
+                    self.seen["ties"] += degs.count(best) > 1
+                else:
+                    suppressed += 1
+        assert eid == want, (c, ring, degs)
+        self.seen["suppressed"] += suppressed - self.at[3]
+        assert engine.last_suppressed == suppressed
+        self.seen["flips"] += eid >= 0
+
+
+# (preset, window override, what the run must have seen at least once):
+# exact-mode ties and suppressions, perceived-mode suppressions, and scans
+# cut short by a window smaller than the ring.
+SCAN_CASES = [
+    ("simple-additive", None, ("flips",)),
+    ("simple-multiplicative", None, ("flips", "ties", "suppressed")),
+    ("fast-additive", None, ("flips",)),
+    ("fast-multiplicative", None, ("flips", "suppressed")),
+    ("fast-additive", 4, ("flips", "cut")),
+    ("fast-multiplicative", 4, ("flips", "suppressed", "cut")),
+]
+
+
+@pytest.mark.parametrize("preset,width,seen", SCAN_CASES,
+                         ids=[f"{p}-{w}" for p, w, _ in SCAN_CASES])
+def test_insert_scan_matches_the_reference(preset, width, seen):
+    cfg = dict(ALL_PRESETS)[preset](24)
+    if width is not None:
+        cfg.rr_width = width
+    stack = OrientationStack(cfg)
+    model = _ScanModel(stack.engine)
+    Fuzzer(stack, seed=13).run(400)
+    assert [k for k in seen if not model.seen[k]] == []
+    assert audit_state(stack) == []
 
 
 def test_event_stream_reconstructs_copy_counts():
