@@ -314,11 +314,11 @@ class OrientationEngine:
                     x = -1
                     k = out_sz[t]
                     e = cursor[t]
+                    bound = lhs * (dt + 1)
                     if fast:
                         if window < k:
                             k = window
                         rekey = self.pending is None
-                        bound = lhs * (dt + 1)
                         for _ in range(k):
                             nxt = rn_next[e]
                             dx = out_deg[e_head[e]]
@@ -342,7 +342,7 @@ class OrientationEngine:
                                 best = e
                                 best_d = dx
                             e = rn_next[e]
-                        if best >= 0 and lhs * (dt + 1) > rhs * best_d + add:
+                        if best >= 0 and bound > rhs * best_d + add:
                             if best_d < dt:
                                 x = best
                             else:
