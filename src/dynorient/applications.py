@@ -46,10 +46,10 @@ class _UnionFind:
 class MaximalMatching(OrientationListener):
     """Maintains a maximal matching under inserts, deletes, and flips.
 
-    Every vertex keeps its in-neighbors split into an available and a
-    matched list; a vertex freed by a deletion first grabs the head of its
-    available in-list and otherwise proposes to its out-neighbors, so the
-    work per update is bounded by the orientation's out-degree.
+    Every vertex keeps its free in-neighbors in an available list; a
+    vertex freed by a deletion first grabs the head of its available
+    in-list and otherwise proposes to its out-neighbors, so the work per
+    update is bounded by the orientation's out-degree.
     """
 
     def __init__(self, rounding: RoundedOrientation):
@@ -57,23 +57,20 @@ class MaximalMatching(OrientationListener):
         self.out = rounding.out
         self.mate = [-1] * n
         self.in_avail = [dict() for _ in range(n)]
-        self.in_matched = [dict() for _ in range(n)]
         rounding.register(self)
 
     # -- listener hooks -------------------------------------------------
 
     def on_insert(self, tail: int, head: int) -> None:
-        if self.mate[tail] >= 0:
-            self.in_matched[head][tail] = None
-        else:
+        if self.mate[tail] < 0:
             self.in_avail[head][tail] = None
-        if self.mate[tail] < 0 and self.mate[head] < 0:
-            self._match(tail, head)
+            if self.mate[head] < 0:
+                self._match(tail, head)
 
     def on_delete(self, tail: int, head: int) -> None:
-        lists = self.in_matched if self.mate[tail] >= 0 else self.in_avail
-        del lists[head][tail]
-        if self.mate[tail] == head:
+        if self.mate[tail] < 0:
+            del self.in_avail[head][tail]
+        elif self.mate[tail] == head:
             self.mate[tail] = -1
             self.mate[head] = -1
             self._notify(tail)
@@ -82,12 +79,10 @@ class MaximalMatching(OrientationListener):
             self._rematch(head)
 
     def on_flip(self, tail: int, head: int) -> None:
-        # Edge was head->tail: the moving endpoint swaps list sides.
-        lists = self.in_matched if self.mate[head] >= 0 else self.in_avail
-        del lists[tail][head]
-        if self.mate[tail] >= 0:
-            self.in_matched[head][tail] = None
-        else:
+        # Edge was head->tail: a free endpoint moves to the other in-list.
+        if self.mate[head] < 0:
+            del self.in_avail[tail][head]
+        if self.mate[tail] < 0:
             self.in_avail[head][tail] = None
 
     # -- internals ------------------------------------------------------
@@ -99,12 +94,15 @@ class MaximalMatching(OrientationListener):
         self._notify(w)
 
     def _notify(self, v: int) -> None:
-        """v changed matched/available status: re-file it at every head."""
-        src, dst = (self.in_avail, self.in_matched) if self.mate[v] >= 0 \
-            else (self.in_matched, self.in_avail)
-        for h in self.out[v]:
-            del src[h][v]
-            dst[h][v] = None
+        """v was matched or freed: take it out of, or add it to, the
+        available in-list of every out-neighbor."""
+        in_avail = self.in_avail
+        if self.mate[v] >= 0:
+            for h in self.out[v]:
+                del in_avail[h][v]
+        else:
+            for h in self.out[v]:
+                in_avail[h][v] = None
 
     def _rematch(self, u: int) -> None:
         if self.mate[u] >= 0:
@@ -144,7 +142,8 @@ class GreedyColoring(OrientationListener):
     Per vertex: counts of in-neighbor colors and a lazy min-heap of in-free
     candidates.  A recolor pops the smallest candidate that is neither
     in-taken nor used by an out-neighbor; at most the out-degree plus one
-    pops survive validation per recolor.
+    pops survive validation per recolor.  A heap longer than twice the
+    degree plus two is rebuilt from its live entries.
     """
 
     def __init__(self, rounding: RoundedOrientation):
@@ -189,7 +188,10 @@ class GreedyColoring(OrientationListener):
         d = self.degree[v] + 1
         self.degree[v] = d
         if not self.taken[v].get(d):
-            heapq.heappush(self.free_heap[v], d)
+            heap = self.free_heap[v]
+            heapq.heappush(heap, d)
+            if len(heap) > 2 * d + 2:
+                self._prune(v)
 
     def _in_add(self, v: int, c: int) -> None:
         self.taken[v][c] = self.taken[v].get(c, 0) + 1
@@ -201,7 +203,16 @@ class GreedyColoring(OrientationListener):
         else:
             del self.taken[v][c]
             if c <= self.degree[v]:
-                heapq.heappush(self.free_heap[v], c)
+                heap = self.free_heap[v]
+                heapq.heappush(heap, c)
+                if len(heap) > 2 * self.degree[v] + 2:
+                    self._prune(v)
+
+    def _prune(self, v: int) -> None:
+        """Rebuild v's heap, sorted, from its live entries once each; all
+        of them are in it already, so a recolor picks the same color."""
+        deg, taken, heap = self.degree[v], self.taken[v], self.free_heap[v]
+        heap[:] = sorted({c for c in heap if c <= deg and not taken.get(c)})
 
     def _recolor(self, v: int) -> None:
         out = self.out[v]

@@ -101,7 +101,6 @@ class OrientationConfig:
         "capacity", "eta", "b", "gamma", "theta", "epsilon", "preset",
         "slack", "rr_width", "c",
         "_g_lhs", "_g_rhs", "_g_add",
-        "_f_lhs", "_f_rhs", "_f_add",
         "_bucket_thresholds",
     )
 
@@ -155,11 +154,6 @@ class OrientationConfig:
         self._g_lhs = q
         self._g_rhs = q + p
         self._g_add = 2 * theta * q
-        # Perceived-degree mode uses half the slack and a +theta term:
-        #   (d(u)+1)*2q > (2q+p)*d(x) + theta*2q.
-        self._f_lhs = 2 * q
-        self._f_rhs = 2 * q + p
-        self._f_add = theta * 2 * q
 
         self._bucket_thresholds: Optional[list] = None
 

@@ -13,13 +13,14 @@ T_(k+1); the density of that set is at least estimate/((1+gamma)(1+eta/b)^k)
 because no vertex of T_k can orient a copy outside T_(k+1).
 
 One ``DensityTracker`` answers the queries from the engine's degrees, filed
-in per-degree sets.  Once per update (once per commit while an update does
-not defer its refreshes) the engine names the vertices whose degree changed,
-and the tracker only marks them stale.  A read first moves each stale vertex
-to the set of its current degree in O(1), then walks from the maximum Delta
-down to its last cut, sorting each non-empty level by id: the vertices come
-by degree descending, ties by id ascending, whatever the history.  A read
-costs O(|stale| + Delta + |T_(k+1)| log |T_(k+1)|) in the worst case.
+in per-degree sets.  At each flush (once per update, once per commit while
+an update does not defer its refreshes) the engine names the vertices whose
+degree changed, and the tracker only marks them stale.  A read first moves
+each stale vertex to the set of its current degree in O(1), then walks from
+the maximum Delta down to its last cut, sorting each non-empty level by id:
+the vertices come by degree descending, ties by id ascending, whatever the
+history.  A read costs O(|stale| + Delta + |T_(k+1)| log |T_(k+1)|) in the
+worst case.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class DensityTracker:
     stack hands it over once the engine is built.  ``deg[u]`` is the degree
     the tracker last placed u at, and ``at[d]`` the set of vertices placed
     at d; ``at`` grows when the maximum first reaches a degree and never
-    shrinks.  ``_stale`` lists, once each, the vertices named since the last
-    sync, and ``_marked`` flags them.  Every read (``delta``, ``value``,
+    shrinks.  ``_stale`` holds the vertices named since the last sync, as
+    dict keys in first-named order.  Every read (``delta``, ``value``,
     ``count_at_least``, ``vertices_at_least``, ``report``, ``violations``)
     syncs first.
     """
@@ -64,8 +65,7 @@ class DensityTracker:
         self.deg = [0] * n
         self.at = [set(range(n))]
         self._delta = 0
-        self._stale: list[int] = []
-        self._marked = bytearray(n)
+        self._stale: dict[int, None] = {}
         # The thresholds depend only on delta and the config.  Per delta:
         # V_0, V_1, ... and their integer cut-offs max(ceil(V_i), 0),
         # extended as far as a report has needed.  ``_steps[i]`` holds
@@ -87,22 +87,15 @@ class DensityTracker:
     def degree_changed(self, vertices) -> None:
         """The out-degrees of ``vertices`` may have changed: mark each one
         stale, once, for the next sync to place."""
-        marked = self._marked
-        stale = self._stale
-        for u in vertices:
-            if not marked[u]:
-                marked[u] = 1
-                stale.append(u)
+        self._stale.update(dict.fromkeys(vertices))
 
     def _sync(self) -> None:
         """Move each stale vertex from ``at[deg[u]]`` to ``at[out_deg[u]]``.
         The maximum rises to the largest new degree, then walks down past
         the levels left empty."""
         out_deg, deg, at = self.out_deg, self.deg, self.at
-        marked = self._marked
         top = self._delta
         for u in self._stale:
-            marked[u] = 0
             new = out_deg[u]
             if new == deg[u]:
                 continue

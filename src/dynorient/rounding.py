@@ -86,7 +86,7 @@ class RoundedOrientation:
     def counts_changed(self, a: int, b: int, cab: int, cba: int) -> None:
         """A copy of pair (a, b) flipped across its majority; reorient the
         pair if it is visible and not yet pointing the majority's way."""
-        tail, head = (a, b) if cab > cba or (cab == cba) else (b, a)
+        tail, head = (a, b) if cab >= cba else (b, a)
         out = self.out
         if head in out[tail]:
             return  # no crossing
@@ -105,7 +105,7 @@ class RoundedOrientation:
     def simple_inserted(self, a: int, b: int, cab: int, cba: int) -> None:
         if self.has_edge(a, b):
             raise CorruptionError(f"pair ({a},{b}) announced twice")
-        tail, head = (a, b) if cab > cba or (cab == cba) else (b, a)
+        tail, head = (a, b) if cab >= cba else (b, a)
         self.out[tail][head] = None
         self._deg_up(tail)
         for ls in self.listeners:

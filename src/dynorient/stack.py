@@ -84,7 +84,7 @@ class OrientationStack:
         return self.rounding.max_simple_out_degree()
 
     # -- applications ---------------------------------------------------------
-    # Listeners replay nothing: attach them before the first update.
+    # Listeners replay nothing: attach them while the graph is empty.
 
     def attach_matching(self) -> MaximalMatching:
         if self.matching is None:
@@ -111,9 +111,9 @@ class OrientationStack:
         return self.matvec
 
     def _check_attachable(self, name: str) -> None:
-        if self.engine.m_simple:
+        if self.engine.pairs:
             raise RuntimeError(
-                f"attach {name} before the first update; listeners do not "
+                f"attach {name} while the graph is empty; listeners do not "
                 "replay history")
 
     def attached_apps(self) -> list:

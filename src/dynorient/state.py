@@ -62,20 +62,20 @@ in the brief low-degree windows while an edge's b copies are being placed
 or drained, where no orientation can satisfy the multiplicative invariant
 at all.  Suppressions are counted.
 
-An update may defer its ring refreshes to its end, so a recorded degree can
-lag inside it.  Inside a deferring update only two things re-key: a
-deletion chain, which re-keys the one entry it reads, the top of a head's
+Every commit moves ``out_deg``, files the vertex last in ``pending`` and,
+unless the update is ``deferring``, flushes at once.  Only ``_flush`` names
+committed vertices to the degree listener (which reads their degrees when
+it next needs them), refreshes their rings and runs their post-commit
+audits.  An update defers while every ring fits the window, so a recorded
+degree can lag inside it, and only two things re-key there: a deletion
+chain, which re-keys the one entry it reads, the top of a head's
 in-buckets, when stale (``OrientationEngine.delete`` says why that is
-enough), and the flush; the scan and a copy joining a live entry do not.
-That loses nothing: an update defers only while every ring fits the
-window, so every recorded degree was exact when it began; only a chain's
-commit changes ``out_deg``, and while the update defers it puts the vertex
-in ``pending``; and every re-key writes the tail's exact degree.  So an
-entry that records another degree than its tail's has its tail in
-``pending``, and the flush re-keys it.  ``OrientationEngine.insert`` says why waiting changes no
-outcome and why the flush keeps the bucket sibling order.  The degree
-listener waits too: the flush names the update's committed vertices to it
-in one call, and it reads their degrees when it next needs them.
+enough), and the flush.  That loses nothing: every recorded degree was
+exact when the update began; only a commit changes ``out_deg``, and it
+files the vertex in ``pending``; and every re-key writes the tail's exact
+degree.  So an entry that records another degree than its tail's has its
+tail in ``pending``, and the flush re-keys it.  ``OrientationEngine.insert``
+says why waiting changes no outcome and keeps the bucket sibling order.
 
 Everything is flat parallel lists indexed by small integer ids; these are the
 hottest loops in the package.
@@ -104,12 +104,13 @@ class OrientationEngine:
     picks until the scan finds none; after a copy is removed it flips
     toward the in-neighbor with the largest recorded degree while the guard
     holds.  Flips go through ``_flip_copy``, the ring update through
-    ``_refresh`` and every re-key through ``move_bucket``.  An insert or a
-    delete defers the refreshes to its end (``pending``, flushed by
-    ``_flush``) while every ring fits in the window, which is always in
-    exact mode, and then commits each final ±1 inline; otherwise the ±1
-    goes through ``_commit_at_once``.  A deletion chain re-keys the one
-    stale entry it reads.  ``cfg.is_fast()`` picks the mode once, here:
+    ``_refresh`` and every re-key through ``move_bucket``.  Each final ±1
+    is committed inline and filed in ``pending``; ``_flush`` then refreshes
+    the pending rings.  An insert or a delete is ``deferring``, and flushes
+    once at its end, while every ring fits in the window, which is always
+    in exact mode; otherwise it flushes after every commit.  A deletion
+    chain re-keys the one stale entry it reads.  ``cfg.is_fast()`` picks
+    the mode once, here:
     the scan, the window, the bucket key (exact degree, or its geometric
     index) and the guard.  The engine also owns the pair registry (a pair
     id p names entries 2p and 2p+1; no other module relies on that layout),
@@ -118,9 +119,9 @@ class OrientationEngine:
     each commit.  It is built with its ``rounding`` and ``degree_listener``
     layers and an optional event ``recorder``; see ``OrientationStack``.
     The degree listener is not told of each commit: ``degree_changed``
-    receives an iterable of the vertices whose out-degree changed, once per
-    deferring update at the flush, and ``(u,)`` for a commit made while
-    the update does not defer.  It reads the degrees from ``out_deg``.
+    receives the dict of vertices committed since the last flush, at the
+    flush, and the engine does not write to that dict again.  It reads the
+    degrees from ``out_deg``.
 
     An exception that escapes an update once it has started to change state
     marks the engine ``broken``; every later update then raises
@@ -156,20 +157,22 @@ class OrientationEngine:
             key_of = list(range(size))
         self.key_of = key_of
         # Flip guard (lhs, rhs, add): flip when d * lhs > rhs * d' + add.
-        # Perceived mode uses half the slack and theta.
-        if fast:
-            self.guard = (cfg._f_lhs, cfg._f_rhs, cfg._f_add)
-        else:
-            self.guard = (cfg._g_lhs, cfg._g_rhs, cfg._g_add)
+        # Exact mode tests the invariant, (d+1)*q > (q+p)*d' + 2*theta*q
+        # with slack p/q; perceived mode uses half the slack and theta,
+        # (d+1)*2q > (2q+p)*d' + 2*theta*q.
+        lhs, rhs, add = cfg._g_lhs, cfg._g_rhs, cfg._g_add
+        self.guard = (2 * lhs, lhs + rhs, add) if fast else (lhs, rhs, add)
         # Round-robin width of a committed degree change; no ring outgrows
         # n, so in exact mode every out-neighbor hears of it.
         self.window = cfg.rr_width if fast else n
         # Rings longer than the window; always 0 in exact mode.
         self.long_rings = 0
-        # Inside an update that defers its refreshes (see insert and
-        # delete): the vertices whose rings are to be refreshed, as dict
-        # keys in last-commit order.  None otherwise.
-        self.pending = None
+        # The vertices committed since the last flush, as dict keys in
+        # last-commit order; _flush hands them on and starts a fresh dict.
+        self.pending: dict = {}
+        # True while the update now running defers its refreshes to its
+        # end (see insert and delete); _flush ends the deferral.
+        self.deferring = False
         # Vertices whose ring shrank back to the window during the update
         # now running; see _refresh_regained.
         self._regained: list = []
@@ -206,8 +209,6 @@ class OrientationEngine:
         self.pairs: dict[int, int] = {}
         self._p_free: list[int] = []
 
-        self.m_simple = 0
-
         # Collaborators, read at each call so that they can be swapped.
         self.rounding = rounding
         self.degree_listener = degree_listener
@@ -242,10 +243,10 @@ class OrientationEngine:
         degree unless the update defers.
 
         While no ring is longer than the window (always, in exact mode) the
-        update defers: ``_flush`` refreshes the ring of each vertex that
-        committed once, after the last copy, in last-commit order.
-        Otherwise every commit refreshes at once.  ``delete`` defers under
-        the same rule.  Nothing inside an insert reads a recorded degree
+        update is ``deferring``: ``_flush`` refreshes the ring of each
+        vertex that committed once, after the last copy, in last-commit
+        order.  Otherwise every commit flushes at once.  ``delete`` defers
+        under the same rule.  Nothing inside an insert reads a recorded degree
         (scans compare exact degrees), and while every ring fits in the
         window a refresh walks the whole ring and leaves the cursor where it
         was, so waiting changes no recorded degree and no cursor.
@@ -260,8 +261,8 @@ class OrientationEngine:
         Either order is a valid tie-break.
 
         The scan runs inline, by its mode's rule (see the module
-        docstring), and so does the commit while the update defers;
-        otherwise the commit is ``_commit_at_once``.  The engine's
+        docstring), and so does the commit, which then flushes unless the
+        update is ``deferring``.  The engine's
         ``_flip_copy`` and ``move_bucket`` are looked up once per update,
         like its lists, so a wrapper set on the instance between updates
         sees every flip and re-key of the next one.  The recorder hears of
@@ -293,7 +294,7 @@ class OrientationEngine:
             audit = self._audit_post_increment if self.audit_hooks else None
             audits_due = self._audits_due
             longest = scanned = 0
-            self.pending = None if self.long_rings else {}
+            self.deferring = not self.long_rings
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] <= out_deg[v] else (v, u)
                 e = 2 * pid + (t != a)
@@ -303,7 +304,7 @@ class OrientationEngine:
                 if cnt == 0:
                     self._ring_insert(e, t)
                     self._bucket_attach(h, e, dt)
-                elif self.pending is None and e_perc[e] != dt:
+                elif not self.deferring and e_perc[e] != dt:
                     move(e, dt)
                 if rec is not None:
                     rec.emit(ev.COPY_ADDED, t, h)
@@ -318,7 +319,7 @@ class OrientationEngine:
                     if fast:
                         if window < k:
                             k = window
-                        rekey = self.pending is None
+                        rekey = not self.deferring
                         for _ in range(k):
                             nxt = rn_next[e]
                             dx = out_deg[e_head[e]]
@@ -357,25 +358,23 @@ class OrientationEngine:
                     dt = out_deg[t]
                 if chain > longest:
                     longest = chain
+                dt += 1
+                out_deg[t] = dt
                 pending = self.pending
-                if pending is None:
-                    self._commit_at_once(t, 1)
-                else:
-                    dt += 1
-                    out_deg[t] = dt
-                    pending.pop(t, None)
-                    pending[t] = None
-                    if rec is not None:
-                        rec.emit(ev.OUT_DEGREE_CHANGED, t, t, dt)
-                    if audit is not None:
-                        audits_due.append((audit, t))
+                pending.pop(t, None)
+                pending[t] = None
+                if rec is not None:
+                    rec.emit(ev.OUT_DEGREE_CHANGED, t, t, dt)
+                if audit is not None:
+                    audits_due.append((audit, t))
+                if not self.deferring:
+                    self._flush()
             self.last_chain = longest
             self.last_scan = scanned
-            if self.pending is not None:
+            if self.deferring:
                 self._flush()
             if self._regained:
                 self._refresh_regained()
-            self.m_simple += 1
             if rec is not None:
                 rec.emit(ev.SIMPLE_INSERTED, a, c)
             e = 2 * pid
@@ -404,8 +403,9 @@ class OrientationEngine:
         A fresh top entry therefore has the largest true key.  Other entries
         wait for the flush.  A flip can push a ring past the window, which
         flushes and ends the deferral mid-delete, so the chain reads
-        ``self.pending`` at every read and every commit rather than once.  Without a deferral the recorded
-        degrees are the perceived ones and are read as they stand.
+        ``self.deferring`` at every read and every commit rather than once.
+        Without a deferral the recorded degrees are the perceived ones and
+        are read as they stand.
         """
         self.check_sound()
         self._check_pair(u, v)
@@ -433,7 +433,7 @@ class OrientationEngine:
             audit = self._audit_post_decrement if self.audit_hooks else None
             audits_due = self._audits_due
             longest = 0
-            self.pending = None if self.long_rings else {}
+            self.deferring = not self.long_rings
             for _ in range(self.b):
                 t, h = (u, v) if out_deg[u] >= out_deg[v] else (v, u)
                 e = 2 * pid + (t != a)
@@ -459,7 +459,7 @@ class OrientationEngine:
                     e = bn_head[top]
                     x = e_tail[e]
                     dx = out_deg[x]
-                    if e_perc[e] != dx and self.pending is not None:
+                    if e_perc[e] != dx and self.deferring:
                         move(e, dx)
                         continue
                     dt = out_deg[t]
@@ -474,20 +474,19 @@ class OrientationEngine:
                     t = x
                 if chain > longest:
                     longest = chain
+                dt = out_deg[t] - 1
+                out_deg[t] = dt
                 pending = self.pending
-                if pending is None:
-                    self._commit_at_once(t, -1)
-                else:
-                    dt = out_deg[t] - 1
-                    out_deg[t] = dt
-                    pending.pop(t, None)
-                    pending[t] = None
-                    if rec is not None:
-                        rec.emit(ev.OUT_DEGREE_CHANGED, t, t, dt)
-                    if audit is not None:
-                        audits_due.append((audit, t))
+                pending.pop(t, None)
+                pending[t] = None
+                if rec is not None:
+                    rec.emit(ev.OUT_DEGREE_CHANGED, t, t, dt)
+                if audit is not None:
+                    audits_due.append((audit, t))
+                if not self.deferring:
+                    self._flush()
             self.last_chain = longest
-            if self.pending is not None:
+            if self.deferring:
                 self._flush()
             if self._regained:
                 self._refresh_regained()
@@ -495,7 +494,6 @@ class OrientationEngine:
                 raise CorruptionError("copies survived a simple-edge drain")
             del self.pairs[key]
             self._p_free.append(pid)
-            self.m_simple -= 1
             self.updates += 1
         except BaseException as exc:
             self._break(exc)
@@ -506,7 +504,8 @@ class OrientationEngine:
         ``exc`` after it started to change state, and drop the deferral it
         leaves behind; it is not rolled back."""
         self.broken = (self.updates, repr(exc))
-        self.pending = None
+        self.deferring = False
+        self.pending = {}
         self._regained.clear()
         self._audits_due.clear()
 
@@ -549,11 +548,11 @@ class OrientationEngine:
             # u's ring outgrows the window.  From here on a refresh walks
             # part of it and moves the cursor, so refreshes cannot wait: the
             # pending ones run now, before the ring changes, and the rest of
-            # the update refreshes after every commit.  In a delete, a flip
-            # gets here; the chain reads ``self.pending`` again afterwards.
+            # the update flushes after every commit.  In a delete, a flip
+            # gets here; the chain reads ``self.deferring`` again afterwards.
             # Never in exact mode, where no ring reaches the window n.
             self.long_rings += 1
-            if self.pending is not None:
+            if self.deferring:
                 self._flush()
         cur = self.cursor[u]
         if cur < 0:
@@ -778,9 +777,9 @@ class OrientationEngine:
     # hears of those, since a pair is invisible to it while its copies are
     # placed or drained.  _flip_copy is the one way a copy changes sides;
     # it keeps the counts of both entries itself and links or unlinks an
-    # entry only when it fills or empties.  A chain's commit, inline or
-    # _commit_at_once, is the one way an out-degree changes, and _refresh
-    # tells it to the out-neighbors.
+    # entry only when it fills or empties.  A chain's commit is the one way
+    # an out-degree changes, and the flush's _refresh tells it to the
+    # out-neighbors.
     # ------------------------------------------------------------------
 
     def _flip_copy(self, eid: int) -> None:
@@ -813,7 +812,7 @@ class OrientationEngine:
         if cnt == 0:
             self._ring_insert(rev, h)
             self._bucket_attach(t, rev, dh)
-        elif self.pending is None and self.e_perc[rev] != dh:
+        elif not self.deferring and self.e_perc[rev] != dh:
             self.move_bucket(rev, dh)
         e = eid & -2
         d = e_cnt[e] - e_cnt[e + 1]
@@ -829,29 +828,6 @@ class OrientationEngine:
         self.total_copy_flips += 1
         if self.audit_hooks:
             self._audit_critical_ineq(t, h)
-
-    def _commit_at_once(self, u: int, step: int) -> None:
-        """Commit a chain's ``step`` (+1 or -1) at u, where it stopped, in
-        an update that does not defer: move u's out-degree, announce it to
-        the recorder, hand the degree listener ``(u,)``, tell the
-        out-neighbors through ``_refresh`` and, in audit builds, run the
-        post-increment or post-decrement audit of u.  A deferring update
-        commits inline instead: u moves to the end of ``pending``, and
-        ``_flush`` names it to the listener, refreshes its ring and runs
-        the audit.  Only commits change ``out_deg``, so the flush reads u's
-        latest degree there."""
-        d = self.out_deg[u] + step
-        self.out_deg[u] = d
-        rec = self.recorder
-        if rec is not None:
-            rec.emit(ev.OUT_DEGREE_CHANGED, u, u, d)
-        self.degree_listener.degree_changed((u,))
-        self._refresh((u,))
-        if self.audit_hooks:
-            if step > 0:
-                self._audit_post_increment(u)
-            else:
-                self._audit_post_decrement(u)
 
     def _refresh(self, vertices) -> None:
         """Tell the next ``window`` out-neighbors of each vertex u in
@@ -891,15 +867,16 @@ class OrientationEngine:
         regained.clear()
 
     def _flush(self) -> None:
-        """Stop deferring: hand the degree listener the pending vertices in
-        one call, then run the refreshes an insert or a delete deferred,
-        each pending ring once with its vertex's latest degree, in
-        last-commit order (see ``insert`` for why that order), in one
-        ``_refresh`` call; then the audits of the deferred commits.
-        Entries a deletion chain already re-keyed record that degree and
-        are not moved again."""
+        """End any deferral and act on the commits made since the last
+        flush: hand the degree listener the pending vertices in one call,
+        as a dict the engine then leaves alone, refresh each pending ring
+        once with its vertex's latest degree, in last-commit order (see
+        ``insert`` for why that order), in one ``_refresh`` call, and run
+        the commits' post-commit audits.  Entries a deletion chain already
+        re-keyed record that degree and are not moved again."""
         pending = self.pending
-        self.pending = None
+        self.pending = {}
+        self.deferring = False
         self.degree_listener.degree_changed(pending)
         self._refresh(pending)
         if self.audit_hooks:

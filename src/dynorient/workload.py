@@ -250,7 +250,7 @@ def _gen_clique_path(n: int, steps: int, seed: int, clique: int = 4):
     for _ in range(steps):
         u = k + rng.randrange(max(1, n - k))
         v = k + rng.randrange(max(1, n - k))
-        if u == v or abs(u - v) == 1 or u >= n or v >= n:
+        if u == v or abs(u - v) == 1:
             continue
         e = _edge(u, v)
         if e in pool:

@@ -22,7 +22,8 @@ def path_edges(lo, hi):
 class OnCommit:
     """An event recorder that calls ``fn(u)`` on each ``OUT_DEGREE_CHANGED``
     event, which the engine emits once per commit, after moving u's
-    out-degree and, inside a deferring update, filing u in ``pending``."""
+    out-degree and filing u in ``pending``, and before any flush the commit
+    makes when the update is not ``deferring``."""
 
     def __init__(self, fn):
         self.fn = fn

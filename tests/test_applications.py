@@ -74,6 +74,19 @@ class TestColoring:
             fz.step()
             assert stack.coloring.violations(stack.engine) == []
 
+    def test_candidate_heaps_stay_within_twice_the_degree(self):
+        # Inserts and freed colors push candidates that only a recolor
+        # pops; without a bound, stale and repeated entries pile up with
+        # the number of updates, not with the degrees.
+        stack = _stack(n=64, preset="simple-multiplicative", coloring=True)
+        coloring = stack.coloring
+        fz = Fuzzer(stack, seed=3)
+        for _ in range(4):
+            fz.run(3_000)
+            heap_items = sum(map(len, coloring.free_heap))
+            assert heap_items <= 2 * sum(d + 1 for d in coloring.degree)
+        assert coloring.violations(stack.engine) == []
+
 
 class TestForests:
     def test_tree_needs_at_most_two_forests(self):
@@ -203,6 +216,20 @@ class TestMatVec:
         assert after[2] - before[2] == 4 * 5
         assert after[1] == before[1]
         assert after[3:] == before[3:]
+
+
+def test_attach_only_while_the_graph_is_empty():
+    # Listeners replay no history, so an attach after an insert is refused;
+    # once every edge is gone again there is nothing to replay.
+    stack = _stack()
+    stack.insert(0, 1)
+    with pytest.raises(RuntimeError, match="while the graph is empty"):
+        stack.attach_matching()
+    assert stack.attached_apps() == []
+    stack.delete(0, 1)
+    matching = stack.attach_matching()
+    stack.insert(0, 1)
+    assert matching.matching() == [(0, 1)]
 
 
 def test_applications_compose_over_long_fuzz():

@@ -68,7 +68,7 @@ def test_delete_only_edge_returns_to_zero_without_recursion():
     engine = stack.engine
     assert engine.out_deg == [0] * 8
     assert engine.last_chain == 0
-    assert engine.m_simple == 0
+    assert not engine.pairs
 
 
 def test_deletion_cascade_climbs_toward_larger_degrees():

@@ -195,7 +195,7 @@ def test_insert_that_raises_leaves_no_deferral_behind():
     with pytest.raises(RuntimeError):
         stack.insert(*_absent_pair(stack, 16))
     assert raised == [stack.cfg.b]
-    assert engine.pending is None
+    assert not engine.deferring
     assert engine._audits_due == []
     _assert_fail_stop(stack, op)
 
@@ -218,7 +218,7 @@ def test_delete_that_raises_leaves_no_deferral_behind(preset):
         nonlocal calls
         calls += 1
         if calls == 3:
-            assert engine.pending
+            assert engine.deferring
             raise RuntimeError("commit failed")
 
     engine.recorder = OnCommit(failing)
@@ -226,7 +226,7 @@ def test_delete_that_raises_leaves_no_deferral_behind(preset):
     with pytest.raises(RuntimeError):
         stack.delete(*sorted(fz.live_set)[0])
     assert calls == 3
-    assert engine.pending is None
+    assert not engine.deferring
     assert engine._audits_due == []
     _assert_fail_stop(stack, op)
 
@@ -291,9 +291,9 @@ def test_a_stale_entry_inside_a_deferral_has_a_pending_tail(preset, width):
 
     def check():
         nonlocal stale_seen
-        pending = engine.pending
-        if pending is None:
+        if not engine.deferring:
             return
+        pending = engine.pending
         for eid, cnt in enumerate(e_cnt):
             if cnt and e_perc[eid] != out_deg[e_tail[eid]]:
                 assert e_tail[eid] in pending, (eid, engine.updates)
@@ -333,7 +333,7 @@ def test_commits_without_a_deferral_audit_at_once():
 
     def counted_commit(u):
         counts["commits"] += 1
-        counts["at once"] += engine.pending is None
+        counts["at once"] += not engine.deferring
 
     def counted(audit):
         def call(u):

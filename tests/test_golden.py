@@ -324,7 +324,7 @@ def test_golden_digest_small_window():
     def counting(eid, u):
         # _ring_insert flushes when a deferring update outgrows the window.
         nonlocal delete_flushes
-        if (deleting and engine.pending is not None
+        if (deleting and engine.deferring
                 and engine.out_sz[u] == engine.window):
             delete_flushes += 1
         ring_insert(eid, u)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dynorient import (
+    CorruptionError,
     EventRecorder,
     OrientationConfig,
     OrientationStack,
@@ -149,6 +150,16 @@ def test_pending_and_draining_pairs_stay_silent():
     r.simple_deleted(0, 1)
     r.counts_changed(0, 1, 0, 1)  # draining: ignored
     assert not r.has_edge(0, 1)
+
+
+def test_announcing_a_pair_twice_or_deleting_it_unseen_is_corruption():
+    r = RoundedOrientation(4)
+    r.simple_inserted(0, 1, 2, 1)
+    with pytest.raises(CorruptionError, match=r"pair \(0,1\) announced twice"):
+        r.simple_inserted(0, 1, 2, 1)
+    with pytest.raises(CorruptionError, match="deleted while invisible"):
+        r.simple_deleted(2, 3)
+    assert _points(r, 0, 1) and not r.has_edge(2, 3)
 
 
 def test_max_simple_out_degree_small_cases():

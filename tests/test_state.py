@@ -322,7 +322,7 @@ def test_wrappers_set_between_updates_see_the_next_ones(preset):
 
     def move(eid, degree):
         seen["moves"] += 1
-        seen["deferred"] += engine.pending is not None
+        seen["deferred"] += engine.deferring
         move_bucket(eid, degree)
 
     engine._flip_copy = flip

@@ -2,12 +2,15 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dynorient
 from dynorient import OrientationConfig, WorkloadError
 from dynorient.cli import main as cli_main
 from dynorient.harness import bench, replay
@@ -22,6 +25,17 @@ from dynorient.oracles import (
 from dynorient.workload import generate, load_workload, parse_workload
 
 from conftest import clique_edges
+
+
+def _run_cli(*args):
+    """Run the CLI in a fresh interpreter that imports the package under
+    test, whether or not PYTHONPATH names it."""
+    env = dict(os.environ)
+    src = str(Path(dynorient.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "dynorient.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def _final_edges(ops):
@@ -196,9 +210,7 @@ def test_bench_runs_presets_on_one_workload():
 def test_cli_end_to_end(tmp_path):
     wl = tmp_path / "w.txt"
     csv_path = tmp_path / "m.csv"
-    run = lambda *args: subprocess.run(
-        [sys.executable, "-m", "dynorient.cli", *args],
-        capture_output=True, text=True)
+    run = _run_cli
     r = run("generate", "--kind", "random", "--n", "16", "--steps", "80",
             "--seed", "4", "--audit-every", "20", "--out", str(wl))
     assert r.returncode == 0, r.stderr
@@ -233,11 +245,8 @@ def test_replay_determinism_with_event_log(tmp_path):
     for tag in ("a", "b"):
         csv_path = tmp_path / f"{tag}.csv"
         log_path = tmp_path / f"{tag}.log"
-        r = subprocess.run(
-            [sys.executable, "-m", "dynorient.cli", "replay", str(wl),
-             "--preset", "fast-multiplicative", "--out", str(csv_path),
-             "--event-log", str(log_path)],
-            capture_output=True, text=True)
+        r = _run_cli("replay", str(wl), "--preset", "fast-multiplicative",
+                     "--out", str(csv_path), "--event-log", str(log_path))
         assert r.returncode == 0, r.stderr
         rows = [row.rsplit(",", 1)[0]  # strip the wall_nanos column
                 for row in csv_path.read_text().splitlines()]
@@ -273,6 +282,13 @@ def test_cli_subcommands_in_process(tmp_path, capsys):
         assert capsys.readouterr().out.startswith(want)
     assert cli_main(["oracle", "density", str(wl), "--limit", "8"]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_replay_rejects_a_config_of_another_capacity():
+    n, ops = parse_workload(["n 12", "+ 0 1"])
+    with pytest.raises(WorkloadError, match="capacity 12 differs from "
+                                            "config capacity 16"):
+        replay(n, ops, OrientationConfig.simple_additive(16))
 
 
 def test_replay_answers_densest():
