@@ -87,7 +87,9 @@ class DensityTracker:
     def degree_changed(self, vertices) -> None:
         """The out-degrees of ``vertices`` may have changed: mark each one
         stale, once, for the next sync to place."""
-        self._stale.update(dict.fromkeys(vertices))
+        stale = self._stale
+        for u in vertices:
+            stale[u] = None
 
     def _sync(self) -> None:
         """Move each stale vertex from ``at[deg[u]]`` to ``at[out_deg[u]]``.
