@@ -105,12 +105,11 @@ class OrientationEngine:
     toward the in-neighbor with the largest recorded degree while the guard
     holds.  Flips go through ``_flip_copy``, the ring update through
     ``_refresh`` and every re-key through ``move_bucket``.  Each final ±1
-    is committed inline and filed in ``pending``; ``_flush`` then refreshes
-    the pending rings.  An insert or a delete is ``deferring``, and flushes
-    once at its end, while every ring fits in the window, which is always
-    in exact mode; otherwise it flushes after every commit.  A deletion
-    chain re-keys the one stale entry it reads.  ``cfg.is_fast()`` picks
-    the mode once, here:
+    is committed inline and filed in ``pending``, and ``_flush`` refreshes
+    the pending rings: once at the end of a ``deferring`` update, which is
+    any update while every ring fits in the window (always in exact mode),
+    and after every commit otherwise.  A deletion chain re-keys the one
+    stale entry it reads.  ``cfg.is_fast()`` picks the mode once, here:
     the scan, the window, the bucket key (exact degree, or its geometric
     index) and the guard.  The engine also owns the pair registry (a pair
     id p names entries 2p and 2p+1; no other module relies on that layout),
@@ -157,9 +156,7 @@ class OrientationEngine:
             key_of = list(range(size))
         self.key_of = key_of
         # Flip guard (lhs, rhs, add): flip when d * lhs > rhs * d' + add.
-        # Exact mode tests the invariant, (d+1)*q > (q+p)*d' + 2*theta*q
-        # with slack p/q; perceived mode uses half the slack and theta,
-        # (d+1)*2q > (2q+p)*d' + 2*theta*q.
+        # Perceived mode halves the exact guard's slack and theta.
         lhs, rhs, add = cfg._g_lhs, cfg._g_rhs, cfg._g_add
         self.guard = (2 * lhs, lhs + rhs, add) if fast else (lhs, rhs, add)
         # Round-robin width of a committed degree change; no ring outgrows
