@@ -226,7 +226,7 @@ def test_delete_that_raises_leaves_no_deferral_behind(preset):
     with pytest.raises(RuntimeError):
         stack.delete(*sorted(fz.live_set)[0])
     assert calls == 3
-    assert not engine.deferring
+    assert not engine.deferring and not engine.pending
     assert engine._audits_due == []
     _assert_fail_stop(stack, op)
 
