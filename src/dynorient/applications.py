@@ -5,9 +5,9 @@ per-vertex bookkeeping whose update cost is dominated by the orientation's
 max out-degree: a maximal matching, a proper coloring with every color at
 most the vertex degree, a decomposition of the oriented edges into
 2 * max-out-degree forests, and an exactly-maintained symmetric
-matrix-vector product.  An application keeps the rounding layer's ``out``
-lists, not the layer, which holds it as a listener; so a dropped stack is
-freed by reference counting, with no cycle for the collector.
+matrix-vector product.  The listener base class wires each one up: it keeps
+the layer's ``out`` lists, not the layer, which holds it as a listener; so
+a dropped stack is freed by reference counting, with no cycle.
 
 Ordered dicts play the role of the doubly-linked neighbor lists: first
 element, insertion, and deletion are all O(1).
@@ -53,11 +53,9 @@ class MaximalMatching(OrientationListener):
     """
 
     def __init__(self, rounding: RoundedOrientation):
-        n = rounding.n
-        self.out = rounding.out
-        self.mate = [-1] * n
-        self.in_avail = [dict() for _ in range(n)]
-        rounding.register(self)
+        super().__init__(rounding)
+        self.mate = [-1] * self.n
+        self.in_avail = [dict() for _ in range(self.n)]
 
     # -- listener hooks -------------------------------------------------
 
@@ -147,13 +145,12 @@ class GreedyColoring(OrientationListener):
     """
 
     def __init__(self, rounding: RoundedOrientation):
-        n = rounding.n
-        self.out = rounding.out
+        super().__init__(rounding)
+        n = self.n
         self.color = [0] * n
         self.degree = [0] * n
         self.taken = [dict() for _ in range(n)]
         self.free_heap = [[0] for _ in range(n)]
-        rounding.register(self)
 
     # -- listener hooks -------------------------------------------------
 
@@ -171,11 +168,16 @@ class GreedyColoring(OrientationListener):
 
     def on_delete(self, tail: int, head: int) -> None:
         self._in_remove(head, self.color[tail])
-        self.degree[tail] -= 1
-        self.degree[head] -= 1
-        if self.color[tail] > self.degree[tail]:
+        degree, free_heap = self.degree, self.free_heap
+        degree[tail] -= 1
+        degree[head] -= 1
+        if len(free_heap[tail]) > 2 * degree[tail] + 2:
+            self._prune(tail)
+        if len(free_heap[head]) > 2 * degree[head] + 2:
+            self._prune(head)
+        if self.color[tail] > degree[tail]:
             self._recolor(tail)
-        if self.color[head] > self.degree[head]:
+        if self.color[head] > degree[head]:
             self._recolor(head)
 
     def on_flip(self, tail: int, head: int) -> None:
@@ -270,11 +272,9 @@ class ForestDecomposition(OrientationListener):
     """
 
     def __init__(self, rounding: RoundedOrientation):
-        self.n = rounding.n
-        self.out = rounding.out
+        super().__init__(rounding)
         self.slots: list[list] = [[] for _ in range(self.n)]
         self.by_edge: dict[int, list] = {}   # key -> [tail, head, slot, side]
-        rounding.register(self)
 
     # -- listener hooks -------------------------------------------------
 
@@ -297,10 +297,6 @@ class ForestDecomposition(OrientationListener):
         self._pick_side(rec)
 
     # -- internals ------------------------------------------------------
-
-    def _key(self, u: int, v: int) -> int:
-        a, b = (u, v) if u < v else (v, u)
-        return a * self.n + b
 
     def _pick_side(self, rec: list) -> None:
         # The only cycle the new edge could close runs through its head's
@@ -368,13 +364,10 @@ class MatVecProduct(OrientationListener):
         # set_entry drives the stack's updates; the stack holds this
         # application, so the link back is weak.
         self.stack = weakref.proxy(stack)
-        rounding = stack.rounding
-        self.n = n = rounding.n
-        self.out = rounding.out
+        super().__init__(stack.rounding)
         self.a: dict[int, int] = {}
-        self.x = [1] * n
-        self.s = [0] * n
-        rounding.register(self)
+        self.x = [1] * self.n
+        self.s = [0] * self.n
 
     # -- listener hooks -------------------------------------------------
 
@@ -439,7 +432,3 @@ class MatVecProduct(OrientationListener):
                 bad.append(
                     f"query({i}) = {self.query(i)} != dense {dense[i]}")
         return bad
-
-    def _key(self, u: int, v: int) -> int:
-        a, b = (u, v) if u < v else (v, u)
-        return a * self.n + b

@@ -39,7 +39,6 @@ class DensityReport:
 
     estimate: Fraction          # max out-degree of the multigraph over b
     k: int                      # realized threshold index
-    subgraph_size: int          # |T_(k+1)|
     thresholds: list = field(default_factory=list)   # V_0 .. V_(k+1)
     vertices: list = field(default_factory=list)     # T_(k+1), see report()
 
@@ -146,7 +145,7 @@ class DensityTracker:
         cfg = self.cfg
         delta = self.delta
         if delta == 0:
-            return DensityReport(Fraction(0), 0, 0, [], [])
+            return DensityReport(Fraction(0), 0, [], [])
         levels = self._levels.get(delta)
         if levels is None:
             levels = self._levels[delta] = ([Fraction(delta)], [delta])
@@ -177,7 +176,6 @@ class DensityTracker:
         return DensityReport(
             estimate=Fraction(delta, cfg.b),
             k=k,
-            subgraph_size=size,
             thresholds=thresholds[:k + 2],
             vertices=vertices,
         )

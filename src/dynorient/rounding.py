@@ -13,15 +13,12 @@ simple insert places and a simple delete drains are not reported either:
 the pair is invisible while they are placed (the engine announces it once
 they settle) and from the moment the deletion starts draining them, so
 applications always observe a consistent simple graph.  ``counts_changed``
-keeps its own checks: it ignores a call that finds the majority's direction
-already in place, and an invisible pair, one neither endpoint's ``out``
-holds.
+acts only on a pair that is visible and points against its majority.
 
 Listener contract (synchronous, dispatch in registration order): on_insert,
 on_delete, on_flip all receive (tail, head) in the current orientation, and
 on_flip fires once per reported crossing, that is once per copy flip that
-crosses the majority of a visible pair; on_degree receives (vertex, new
-simple out-degree).
+crosses the majority of a visible pair.
 """
 
 from __future__ import annotations
@@ -30,7 +27,18 @@ from .errors import CorruptionError
 
 
 class OrientationListener:
-    """Base class for application listeners; override what you need."""
+    """Base class for application listeners; override the hooks you need.
+    It keeps the layer's ``n`` and ``out``, not the layer, and registers
+    itself on the layer."""
+
+    def __init__(self, rounding: RoundedOrientation):
+        self.n = rounding.n
+        self.out = rounding.out
+        rounding.register(self)
+
+    def _key(self, u: int, v: int) -> int:
+        a, b = (u, v) if u < v else (v, u)
+        return a * self.n + b
 
     def on_insert(self, tail: int, head: int) -> None:
         pass
@@ -42,7 +50,7 @@ class OrientationListener:
         pass
 
     def on_degree(self, u: int, out_degree: int) -> None:
-        pass
+        pass  # never called; perfbench's tracer still looks the name up
 
 
 class RoundedOrientation:
@@ -88,10 +96,8 @@ class RoundedOrientation:
         pair if it is visible and not yet pointing the majority's way."""
         tail, head = (a, b) if cab >= cba else (b, a)
         out = self.out
-        if head in out[tail]:
-            return  # no crossing
         if tail not in out[head]:
-            return  # pending insert or draining delete
+            return  # no crossing, pending insert or draining delete
         del out[head][tail]
         out[tail][head] = None
         self._deg_down(head)
@@ -99,8 +105,6 @@ class RoundedOrientation:
         self.total_simple_flips += 1
         for ls in self.listeners:
             ls.on_flip(tail, head)
-            ls.on_degree(head, len(out[head]))
-            ls.on_degree(tail, len(out[tail]))
 
     def simple_inserted(self, a: int, b: int, cab: int, cba: int) -> None:
         if self.has_edge(a, b):
@@ -110,7 +114,6 @@ class RoundedOrientation:
         self._deg_up(tail)
         for ls in self.listeners:
             ls.on_insert(tail, head)
-            ls.on_degree(tail, len(self.out[tail]))
 
     def simple_deleted(self, a: int, b: int) -> None:
         if b in self.out[a]:
@@ -123,7 +126,6 @@ class RoundedOrientation:
         self._deg_down(tail)
         for ls in self.listeners:
             ls.on_delete(tail, head)
-            ls.on_degree(tail, len(self.out[tail]))
 
     # ------------------------------------------------------------------
     # Degree histogram and its maximum; degrees move by one at a time.

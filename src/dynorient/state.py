@@ -923,7 +923,7 @@ class OrientationEngine:
     # Audits.
     # ------------------------------------------------------------------
 
-    def invariant_violations(self, limit: int = 0) -> list[str]:
+    def invariant_violations(self) -> list[str]:
         """Terminal invariant over every directed copy group:
         d+(tail) <= (1 + eta/b) * d+(head) + 2*theta, exact arithmetic."""
         bad = []
@@ -938,8 +938,6 @@ class OrientationEngine:
                     bad.append(
                         f"invariant violated on {t}->{h}: "
                         f"d+({t})={out_deg[t]}, d+({h})={out_deg[h]}")
-                    if limit and len(bad) >= limit:
-                        return bad
         return bad
 
     def structural_violations(self) -> list[str]:

@@ -110,23 +110,13 @@ def _vertex(token: str, n: int, line_no: int) -> int:
 # Generators.
 # ----------------------------------------------------------------------
 
-GENERATOR_KINDS = ("random", "drifting-density", "clique-plus-path",
-                   "star-churn")
-
-
 def generate(kind: str, n: int, steps: int, seed: int = 0,
              audit_every: int = 0, **params) -> list[str]:
     """Produce workload lines for one of the named generator kinds."""
-    if kind == "random":
-        ops = _gen_random(n, steps, seed, **params)
-    elif kind == "drifting-density":
-        ops = _gen_drifting(n, steps, seed, **params)
-    elif kind == "clique-plus-path":
-        ops = _gen_clique_path(n, steps, seed, **params)
-    elif kind == "star-churn":
-        ops = _gen_star_churn(n, steps, seed, **params)
-    else:
+    gen = _GENERATORS.get(kind)
+    if gen is None:
         raise ValueError(f"unknown generator kind {kind!r}")
+    ops = gen(n, steps, seed, **params)
     lines = [f"n {n}"]
     for i, op in enumerate(ops, start=1):
         lines.append(op)
@@ -212,7 +202,7 @@ def _gen_drifting(n: int, steps: int, seed: int, clique: int = 0):
     clique_edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     phase = clique_edges + list(reversed(clique_edges))
     stride = max(1, (steps - len(phase)) // len(phase))
-    pool = _EdgePool()
+    pool = set()
     built = set()
     ops = []
     for step_edge in phase:
@@ -246,7 +236,7 @@ def _gen_clique_path(n: int, steps: int, seed: int, clique: int = 4):
     ops = [f"+ {i} {j}" for i in range(k) for j in range(i + 1, k)]
     for v in range(k, n - 1):
         ops.append(f"+ {v} {v + 1}")
-    pool = _EdgePool()
+    pool = set()
     for _ in range(steps):
         u = k + rng.randrange(max(1, n - k))
         v = k + rng.randrange(max(1, n - k))
@@ -265,7 +255,7 @@ def _gen_clique_path(n: int, steps: int, seed: int, clique: int = 4):
 def _gen_star_churn(n: int, steps: int, seed: int):
     """Leaf edges of a star appearing and disappearing; arboricity stays 1."""
     rng = random.Random(seed)
-    live = _EdgePool()
+    live = set()
     ops = []
     for _ in range(steps):
         leaf = 1 + rng.randrange(n - 1)
@@ -277,3 +267,12 @@ def _gen_star_churn(n: int, steps: int, seed: int):
             live.add(e)
             ops.append(f"+ 0 {leaf}")
     return ops
+
+
+_GENERATORS = {
+    "random": _gen_random,
+    "drifting-density": _gen_drifting,
+    "clique-plus-path": _gen_clique_path,
+    "star-churn": _gen_star_churn,
+}
+GENERATOR_KINDS = tuple(_GENERATORS)

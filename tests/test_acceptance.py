@@ -70,7 +70,7 @@ def test_criterion_1_invariant_maintenance(preset):
         engine_time += time.perf_counter() - start
         peak_ratio = max(peak_ratio, _recourse_ratio(stack))
         if i % 100 == 0:
-            assert stack.engine.invariant_violations(limit=1) == [], \
+            assert stack.engine.invariant_violations() == [], \
                 f"{preset}: invariant violated at op {i}"
     assert audit_state(stack) == []
     _c1_recourse_peaks[preset] = peak_ratio

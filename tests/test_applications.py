@@ -77,14 +77,16 @@ class TestColoring:
     def test_candidate_heaps_stay_within_twice_the_degree(self):
         # Inserts and freed colors push candidates that only a recolor
         # pops; without a bound, stale and repeated entries pile up with
-        # the number of updates, not with the degrees.
+        # the number of updates, not with the degrees.  A delete lowers
+        # two degrees, so it must check both heaps too.
         stack = _stack(n=64, preset="simple-multiplicative", coloring=True)
         coloring = stack.coloring
         fz = Fuzzer(stack, seed=3)
-        for _ in range(4):
-            fz.run(3_000)
-            heap_items = sum(map(len, coloring.free_heap))
-            assert heap_items <= 2 * sum(d + 1 for d in coloring.degree)
+        for i in range(12_000):
+            fz.step()
+            over = [v for v, heap in enumerate(coloring.free_heap)
+                    if len(heap) > 2 * coloring.degree[v] + 2]
+            assert over == [], f"update {i}: heaps over the bound at {over}"
         assert coloring.violations(stack.engine) == []
 
 

@@ -84,7 +84,7 @@ def test_deletion_cascade_climbs_toward_larger_degrees():
     rng.shuffle(live)
     for e in live[: len(live) // 2]:
         stack.delete(*e)
-        assert stack.engine.invariant_violations(limit=1) == []
+        assert stack.engine.invariant_violations() == []
 
 
 @pytest.mark.parametrize("preset", ["simple-additive", "simple-multiplicative"])
@@ -95,7 +95,7 @@ def test_random_mix_10k_invariant_audit(preset):
     for i in range(1, 10_001):
         fz.step()
         if i % 500 == 0:
-            assert stack.engine.invariant_violations(limit=1) == []
+            assert stack.engine.invariant_violations() == []
     assert audit_state(stack) == []
 
 

@@ -86,7 +86,7 @@ def test_mixed_updates_terminal_invariant(preset):
     for i in range(1, 10_001):
         fz.step()
         if i % 500 == 0:
-            assert stack.engine.invariant_violations(limit=1) == []
+            assert stack.engine.invariant_violations() == []
     assert audit_state(stack) == []
 
 

@@ -58,9 +58,6 @@ def test_majority_crossing_direction_change():
         def on_delete(self, tail, head):
             pass
 
-        def on_degree(self, u, d):
-            pass
-
     r.register(Probe())
     r.simple_inserted(1, 5, 4, 2)           # majority 1->5
     assert _points(r, 1, 5)
