@@ -73,6 +73,7 @@ class MaximalMatching(OrientationListener):
             self.mate[head] = -1
             self._notify(tail)
             self._notify(head)
+            # The pair has left out[tail], so tail cannot rematch to head.
             self._rematch(tail)
             self._rematch(head)
 
@@ -103,8 +104,6 @@ class MaximalMatching(OrientationListener):
                 in_avail[h][v] = None
 
     def _rematch(self, u: int) -> None:
-        if self.mate[u] >= 0:
-            return
         avail = self.in_avail[u]
         if avail:
             self._match(u, next(iter(avail)))
@@ -190,10 +189,8 @@ class GreedyColoring(OrientationListener):
         d = self.degree[v] + 1
         self.degree[v] = d
         if not self.taken[v].get(d):
-            heap = self.free_heap[v]
-            heapq.heappush(heap, d)
-            if len(heap) > 2 * d + 2:
-                self._prune(v)
+            # At most 2*(d-1) + 2 entries before, so no prune is due.
+            heapq.heappush(self.free_heap[v], d)
 
     def _in_add(self, v: int, c: int) -> None:
         self.taken[v][c] = self.taken[v].get(c, 0) + 1

@@ -5,9 +5,12 @@ duplication count b; under the eps-density preset it sandwiches the true
 maximum subgraph density within (1+epsilon).  Extraction builds the nested
 threshold sets
 
-    T_i = { v : d+(v) >= Delta * (1+eta/b)^(-i) - c * sum_j<=i (1+eta/b)^(-j) }
+    T_i = { v : d+(v) >= V_i },
+    V_i = Delta * (1+eta/b)^(-i) - c * sum_{j=1..i} (1+eta/b)^(-j)
 
-(c = 2*theta; the sum vanishes for the multiplicative presets), finds the
+(c = 2*theta; the sum vanishes for the multiplicative presets).  The
+thresholds follow the recurrence V_0 = Delta, V_i = (V_(i-1) - c)/(1+eta/b),
+which exact rationals evaluate to the closed form.  Extraction finds the
 smallest k whose next set grows by less than a (1+gamma) factor, and returns
 T_(k+1); the density of that set is at least estimate/((1+gamma)(1+eta/b)^k)
 because no vertex of T_k can orient a copy outside T_(k+1).
@@ -67,11 +70,8 @@ class DensityTracker:
         self._stale: dict[int, None] = {}
         # The thresholds depend only on delta and the config.  Per delta:
         # V_0, V_1, ... and their integer cut-offs max(ceil(V_i), 0),
-        # extended as far as a report has needed.  ``_steps[i]`` holds
-        # (1+eta/b)^(-i) and c * sum_{j<=i} (1+eta/b)^(-j), so
-        # V_i = delta * first - second.
+        # extended as far as a report has needed.
         self._levels: dict[int, tuple[list, list[int]]] = {}
-        self._steps = [(Fraction(1), Fraction(0))]
         self._k_cap = math.ceil(math.log(cfg.capacity)
                                 / math.log(1 + cfg.gamma)) + 1
         # sizes[i] < (1 + gamma) * sizes[i-1] as grow[1] * sizes[i] <
@@ -158,8 +158,10 @@ class DensityTracker:
         size = prev = 0
         d = delta
         for i in range(self._k_cap + 2):
-            if i == len(cuts):
-                self._extend(delta, thresholds, cuts)
+            if i == len(cuts):  # V_i = (V_(i-1) - c)/(1+eta/b), cached
+                v = (thresholds[-1] - cfg.c) / (1 + cfg.slack)
+                thresholds.append(v)
+                cuts.append(max(math.ceil(v), 0))
             while d >= cuts[i]:
                 if at[d]:
                     size += len(at[d])
@@ -179,20 +181,6 @@ class DensityTracker:
             thresholds=thresholds[:k + 2],
             vertices=vertices,
         )
-
-    def _extend(self, delta: int, thresholds: list, cuts: list) -> None:
-        """Append V_i and max(ceil(V_i), 0), i = len(thresholds), to
-        delta's lists."""
-        i = len(thresholds)
-        steps = self._steps
-        if i == len(steps):
-            power, offset = steps[-1]
-            power /= 1 + self.cfg.slack
-            steps.append((power, offset + self.cfg.c * power))
-        power, offset = steps[i]
-        v = delta * power - offset
-        thresholds.append(v)
-        cuts.append(max(math.ceil(v), 0))
 
     # ------------------------------------------------------------------
     # Audits.

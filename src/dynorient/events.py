@@ -52,29 +52,6 @@ class EventRecorder:
     def clear(self) -> None:
         self.events.clear()
 
-    def replay_counts(self) -> dict:
-        """Reconstruct per-pair directed copy counts from the stream."""
-        counts: dict = {}
-        for ev in self.events:
-            if ev.kind == "copy_added":
-                key = (min(ev.u, ev.v), max(ev.u, ev.v))
-                c = counts.setdefault(key, [0, 0])
-                c[0 if ev.u < ev.v else 1] += 1
-            elif ev.kind == "copy_removed":
-                key = (min(ev.u, ev.v), max(ev.u, ev.v))
-                c = counts.setdefault(key, [0, 0])
-                c[0 if ev.u < ev.v else 1] -= 1
-            elif ev.kind == "copy_flipped":
-                key = (min(ev.u, ev.v), max(ev.u, ev.v))
-                c = counts.setdefault(key, [0, 0])
-                if ev.u < ev.v:
-                    c[0] -= 1
-                    c[1] += 1
-                else:
-                    c[1] -= 1
-                    c[0] += 1
-        return {k: tuple(v) for k, v in counts.items() if v != [0, 0]}
-
 
 class EventHasher:
     """Order-sensitive 64-bit rolling hash of the event stream.

@@ -187,6 +187,8 @@ def bench(capacity: int, ops: list[WorkloadOp], presets: list[str],
           epsilon=None, csv_out=None) -> dict:
     """Replay the same workload under several presets; combined per-op CSV
     with recourse and max out-degree columns per preset."""
+    if not presets:
+        raise ConfigError("bench needs at least one preset")
     runs = {}
     for preset in presets:
         cfg = OrientationConfig.from_preset(preset, capacity, epsilon=epsilon)

@@ -23,9 +23,11 @@ class OrientationStack:
     It builds the rounding layer and the density tracker, then the engine
     with both, the optional event ``recorder`` and ``audit_hooks``.
 
-    Updates go through :meth:`insert`/:meth:`delete`; queries are read-only
-    and must run between updates (single-writer discipline; the structure
-    may move between threads at update boundaries).
+    Updates go through ``insert``/``delete``, which are the engine's own
+    bound methods, so a wrapper set on ``stack.engine`` after the build is
+    not seen through them.  Queries are read-only and must run between
+    updates (single-writer discipline; the structure may move between
+    threads at update boundaries).
     """
 
     def __init__(self, cfg: OrientationConfig, recorder=None,
@@ -40,18 +42,12 @@ class OrientationStack:
         self.engine = OrientationEngine(cfg, self.rounding, self.tracker,
                                         recorder, audit_hooks)
         self.tracker.out_deg = self.engine.out_deg
+        self.insert = self.engine.insert
+        self.delete = self.engine.delete
         self.matching = None
         self.coloring = None
         self.forests = None
         self.matvec = None
-
-    # -- updates -----------------------------------------------------------
-
-    def insert(self, u: int, v: int) -> None:
-        self.engine.insert(u, v)
-
-    def delete(self, u: int, v: int) -> None:
-        self.engine.delete(u, v)
 
     # -- queries -------------------------------------------------------------
 

@@ -116,6 +116,8 @@ def generate(kind: str, n: int, steps: int, seed: int = 0,
     gen = _GENERATORS.get(kind)
     if gen is None:
         raise ValueError(f"unknown generator kind {kind!r}")
+    if n < 2:
+        raise WorkloadError(1, "capacity must be at least 2")
     ops = gen(n, steps, seed, **params)
     lines = [f"n {n}"]
     for i, op in enumerate(ops, start=1):
@@ -193,12 +195,13 @@ def _gen_random(n: int, steps: int, seed: int,
 
 def _gen_drifting(n: int, steps: int, seed: int, clique: int = 0):
     """Sparse background churn while a clique grows and then dissolves, so
-    the maximum subgraph density rises and falls inside one run.
+    the maximum subgraph density rises and falls inside one run.  The
+    clique size is clamped into [2, n].
 
     ``steps`` is a length target; the emitted op count tracks it closely.
     """
     rng = random.Random(seed)
-    k = clique or max(4, min(20, n // 8))
+    k = max(2, min(clique or max(4, min(20, n // 8)), n))
     clique_edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     phase = clique_edges + list(reversed(clique_edges))
     stride = max(1, (steps - len(phase)) // len(phase))
@@ -230,9 +233,10 @@ def _gen_drifting(n: int, steps: int, seed: int, clique: int = 0):
 
 
 def _gen_clique_path(n: int, steps: int, seed: int, clique: int = 4):
-    """A k-clique plus a long path, then random churn on extra path chords."""
+    """A k-clique plus a long path, then random churn on extra path chords;
+    k is clamped into [0, n - 1]."""
     rng = random.Random(seed)
-    k = min(clique, n - 1)
+    k = max(0, min(clique, n - 1))
     ops = [f"+ {i} {j}" for i in range(k) for j in range(i + 1, k)]
     for v in range(k, n - 1):
         ops.append(f"+ {v} {v + 1}")

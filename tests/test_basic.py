@@ -170,7 +170,7 @@ def test_delete_chain_flips_toward_a_true_maximum(preset):
     out_deg = engine.out_deg
     e_tail = engine.e_tail
     flip_copy = engine._flip_copy
-    delete = engine.delete
+    delete = stack.delete
     deleting = False
     flips = 0
 
@@ -193,7 +193,7 @@ def test_delete_chain_flips_toward_a_true_maximum(preset):
                        for e in engine.in_entries(engine.e_head[eid]))
         flip_copy(eid)
 
-    engine.delete = deleting_edge
+    stack.delete = deleting_edge
     engine._flip_copy = checked
     Fuzzer(stack, seed=47, max_edges=6 * n).run(800)
     assert flips > 20

@@ -139,3 +139,26 @@ def test_from_preset_round_trip():
         OrientationConfig.from_preset("eps-density", 64)
     with pytest.raises(ConfigError):
         OrientationConfig.from_preset("nope", 64)
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"capacity": 1}, "capacity must be at least 2"),
+    ({"theta": 2}, "theta must be 0 or 1"),
+    ({"b": 0}, "b must be a positive integer"),
+    ({"eta": 0}, "eta must be positive"),
+    ({"gamma": 0}, "gamma must be positive"),
+    ({"epsilon": 0}, "epsilon must lie in (0, 1)"),
+    ({"epsilon": 1}, "epsilon must lie in (0, 1)"),
+], ids=["capacity", "theta", "b", "eta", "gamma", "epsilon-0", "epsilon-1"])
+def test_config_rejects_each_bad_parameter(override, message):
+    params = dict(capacity=16, eta=Fraction(1, 2), b=1, gamma=1, theta=1)
+    with pytest.raises(ConfigError) as err:
+        OrientationConfig(**{**params, **override})
+    assert str(err.value) == message
+
+
+def test_eps_density_rounds_an_odd_b_up():
+    # eps' = 4/81, so 4/eps' = 81 and b rounds up to the even 82.
+    cfg = OrientationConfig.eps_density(16, Fraction(40, 81))
+    assert cfg.b == 82
+    assert cfg.slack <= cfg.gamma

@@ -450,12 +450,29 @@ def test_insert_scan_matches_the_reference(preset, width, seen):
     assert audit_state(stack) == []
 
 
+def _replay_counts(events) -> dict:
+    """Per-pair copy counts (low->high, high->low) rebuilt from a stream."""
+    counts: dict = {}
+    for e in events:
+        if e.kind not in ("copy_added", "copy_removed", "copy_flipped"):
+            continue
+        c = counts.setdefault((min(e.u, e.v), max(e.u, e.v)), [0, 0])
+        side = 0 if e.u < e.v else 1    # the copy's (old) direction
+        if e.kind == "copy_added":
+            c[side] += 1
+        else:
+            c[side] -= 1
+            if e.kind == "copy_flipped":
+                c[1 - side] += 1
+    return {k: tuple(c) for k, c in counts.items() if c != [0, 0]}
+
+
 def test_event_stream_reconstructs_copy_counts():
     rec = EventRecorder()
     cfg = OrientationConfig.fast_multiplicative(24)
     stack = OrientationStack(cfg, recorder=rec)
     Fuzzer(stack, seed=7).run(120)
-    counts = rec.replay_counts()
+    counts = _replay_counts(rec.events)
     engine = stack.engine
     live = {(a, b): engine.copy_counts(a, b) for a, b in engine.edges()}
     assert counts == live
@@ -474,6 +491,17 @@ def test_insert_and_delete_return_their_events():
     kinds = [e.kind for e in rec.events[mark:]]
     assert kinds[0] == "simple_deleted"
     assert kinds.count("copy_removed") == cfg.b
+
+
+@pytest.mark.parametrize("u, v", [(0, 2), (2, 0), (1, 2)])
+def test_copy_counts_rejects_a_missing_pair(u, v):
+    stack = OrientationStack(OrientationConfig.fast_additive(8))
+    stack.insert(0, 1)
+    stack.insert(1, 2)
+    stack.delete(1, 2)
+    assert sum(stack.engine.copy_counts(1, 0)) == stack.cfg.b
+    with pytest.raises(MissingEdgeError, match=rf"edge \({u}, {v}\) not"):
+        stack.engine.copy_counts(u, v)
 
 
 @pytest.mark.parametrize("op, u, v, exc", [

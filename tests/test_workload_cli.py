@@ -22,7 +22,12 @@ from dynorient.oracles import (
     exact_min_max_outdegree,
     subgraph_density,
 )
-from dynorient.workload import generate, load_workload, parse_workload
+from dynorient.workload import (
+    GENERATOR_KINDS,
+    generate,
+    load_workload,
+    parse_workload,
+)
 
 from conftest import clique_edges
 
@@ -87,7 +92,43 @@ class TestParsing:
         assert ops[2].u == 3
 
 
+@pytest.mark.parametrize("lines, line_no, message", [
+    (["n x"], 1, "bad capacity 'x'"),
+    (["n 1"], 1, "capacity must be at least 2"),
+    (["n 4", "+ 0"], 2, "expected '+ u v'"),
+    (["n 4", "? color"], 2, "expected '? color <vertex>'"),
+    (["n 4", "? density x"], 2, "expected '? density'"),
+    (["# no header", ""], 1, "missing header 'n <N>'"),
+    (["n 4", "", "+ 0 y"], 3, "bad vertex id 'y'"),
+], ids=["capacity-token", "capacity-1", "one-vertex", "color-no-vertex",
+        "density-argument", "missing-header", "vertex-token"])
+def test_parse_rejects_with_the_line_number(lines, line_no, message):
+    with pytest.raises(WorkloadError) as err:
+        parse_workload(lines)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
 class TestGenerators:
+    def test_unknown_kind_and_tiny_capacity_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown generator kind"):
+            generate("no-such-kind", 8, 10)
+        # The error parse_workload gives for the header 'n 1'.
+        with pytest.raises(WorkloadError) as err:
+            generate("random", 1, 10)
+        assert str(err.value) == "line 1: capacity must be at least 2"
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_every_small_input_parses(self, kind):
+        # Clique sizes out of range are clamped, so the output never names
+        # a vertex outside the declared capacity.
+        for n in range(2, 13):
+            for clique in (-1, 0, 1, n + 3):
+                params = ({"clique": clique} if kind in (
+                    "drifting-density", "clique-plus-path") else {})
+                lines = generate(kind, n, 60, seed=n, **params)
+                assert parse_workload(lines)[0] == n
+
     def test_same_seed_byte_identical(self):
         a = generate("random", 50, 1000, seed=7)
         b = generate("random", 50, 1000, seed=7)
@@ -235,6 +276,49 @@ def test_cli_end_to_end(tmp_path):
     bad.write_text("n 4\n- 0 1\n")
     r = run("replay", str(bad))
     assert r.returncode == 2 and "line 2" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "1"],
+    ["generate", "--kind", "star-churn", "--n", "1"],
+    ["bench", "--presets", ","],
+], ids=["random-n1", "star-churn-n1", "no-presets"])
+def test_cli_rejects_bad_input_with_one_error_line(argv, tmp_path, capsys):
+    wl = tmp_path / "w.txt"
+    wl.write_text("n 4\n+ 0 1\n")
+    argv = argv[:1] + ([str(wl)] if argv[0] == "bench" else
+                       ["--out", str(tmp_path / "g.txt")]) + argv[1:]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("target, fake, preset, message", [
+    ("audit_state", lambda stack: ["invariant broken at (0, 1)"],
+     "fast-additive", "audit failed: invariant broken at (0, 1)"),
+    ("exact_density", lambda n, edges, limit: (Fraction(9), []),
+     "fast-additive", "estimate 1/2 below exact density 9"),
+    ("exact_density", lambda n, edges, limit: (Fraction(1, 10), []),
+     "eps-density", "estimate 1/2 above (1+eps) * density 1/10"),
+], ids=["audit", "below", "above"])
+def test_replay_names_the_line_of_a_failed_check(target, fake, preset,
+                                                  message, monkeypatch):
+    # The first audit passes; the check fails on the second, at line 5.
+    real = getattr(dynorient.harness, target)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        return (fake if len(calls) == 2 else real)(*args, **kwargs)
+
+    monkeypatch.setattr(dynorient.harness, target, patched)
+    n, ops = parse_workload(["n 6", "+ 0 1", "! audit", "+ 2 3", "! audit",
+                             "! audit"])
+    cfg = OrientationConfig.from_preset(preset, n, epsilon=0.5)
+    with pytest.raises(WorkloadError) as err:
+        replay(n, ops, cfg)
+    assert err.value.line_no == 5
+    assert str(err.value) == f"line 5: {message}"
 
 
 def test_replay_determinism_with_event_log(tmp_path):
