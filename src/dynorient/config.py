@@ -56,22 +56,43 @@ PRESETS = (
 BASIC_PRESETS = (PRESET_SIMPLE_ADDITIVE, PRESET_SIMPLE_MULTIPLICATIVE)
 
 
-def _rationalize(x) -> Fraction:
-    """Turn a parameter into an exact Fraction.
+def _rationalize(x, name: str) -> Fraction:
+    """Turn the parameter called ``name`` into an exact Fraction.
 
     Floats (e.g. 1/(2 ln N)) are snapped to a nearby rational once; from then
-    on all comparisons involving the value are exact.
+    on all comparisons involving the value are exact.  A value with no
+    rational form (NaN, an infinity) is a ConfigError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    return Fraction(x).limit_denominator(10**6)
+    try:
+        return Fraction(x).limit_denominator(10**6)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a finite number (got {x})") \
+            from None
 
 
 def _log_bound(capacity: int) -> Fraction:
     """1/ln N, rationalized: the additive presets keep eta/b below it."""
-    return 1 / _rationalize(math.log(capacity))
+    return 1 / _rationalize(math.log(capacity), "ln N")
+
+
+def _power_bounds(num: int, den: int, j: int, shift: int) -> tuple:
+    """Integers lo <= (num/den)^j * 2^shift <= hi, for num >= den, by
+    squaring in fixed point: lo rounds every product down, hi up."""
+    lo = hi = 1 << shift
+    b_lo = (num << shift) // den
+    b_hi = -((-num << shift) // den)
+    while j:
+        if j & 1:
+            lo = lo * b_lo >> shift
+            hi = -(-hi * b_hi >> shift)
+        j >>= 1
+        b_lo = b_lo * b_lo >> shift
+        b_hi = -(-b_hi * b_hi >> shift)
+    return lo, hi
 
 
 class OrientationConfig:
@@ -112,8 +133,8 @@ class OrientationConfig:
             raise ConfigError("theta must be 0 or 1")
         if b < 1:
             raise ConfigError("b must be a positive integer")
-        eta = _rationalize(eta)
-        gamma = _rationalize(gamma)
+        eta = _rationalize(eta, "eta")
+        gamma = _rationalize(gamma, "gamma")
         if eta <= 0:
             raise ConfigError("eta must be positive")
         if gamma <= 0:
@@ -130,7 +151,7 @@ class OrientationConfig:
             if b < 2 or b % 2:
                 raise ConfigError("theta=0 requires an even b >= 2")
         if epsilon is not None:
-            epsilon = _rationalize(epsilon)
+            epsilon = _rationalize(epsilon, "epsilon")
             if not (0 < epsilon < 1):
                 raise ConfigError("epsilon must lie in (0, 1)")
 
@@ -175,25 +196,52 @@ class OrientationConfig:
 
         thresholds[j] is the smallest integer d with d >= (1 + slack/64)^j,
         exact, so bucket boundaries never flicker.  The table covers every
-        degree reachable under the fixed capacity (d <= (N-1)*b).  The
-        perceived-degree engine walks it once, when it is built, into its
-        per-degree key table.
+        degree reachable under the fixed capacity (d <= (N-1)*b), repeats
+        included.  The perceived-degree engine walks it once, when it is
+        built, into its per-degree key table.
 
         base = num/den is in lowest terms with den > 1, so base^j is never an
-        integer for j >= 1 and its ceiling is its floor plus one.  The floor
-        comes from integer bounds lo <= base^j * 2^128 <= hi, carried from
-        one power to the next: when lo and hi share a floor it is exact;
-        otherwise it is taken from the exact power num^j / den^j, which also
-        re-seeds the bounds.
+        integer for j >= 1 and its ceiling is its floor plus one: threshold
+        t stands for the powers in (t-1, t).  The table is built at a cost
+        per distinct threshold, in two regions.
+
+        Dense region, t - 1 < 64/slack: consecutive powers there differ by
+        less than 1, so every integer t appears, repeated
+        floor(log_base t) - floor(log_base(t-1)) times.  The floor comes
+        from float logs; when a log lies within 1e-9 (relative) of an
+        integer k it is settled exactly, by num^k <= t * den^k.
+
+        Sparse region, beyond: powers are taken one at a time, and each is
+        a distinct threshold.  The floor comes from integer bounds
+        lo <= base^j * 2^128 <= hi, carried from one power to the next: when
+        lo and hi share a floor it is exact; otherwise it is taken from the
+        exact power num^j / den^j, which also re-seeds the bounds.
         """
         if self._bucket_thresholds is None:
             base = 1 + self.slack / 64
             num, den = base.numerator, base.denominator
             limit = (self.capacity - 1) * self.b + 1
             thresholds = [1]
+            # Dense region: t runs over 2 .. min(limit, floor(64/slack) + 1).
+            # The repeat count is exact for any t, so a last t whose count is
+            # 0 only adds nothing.
+            dense_end = min(limit, den // (num - den) + 1)
+            log = math.log
+            per_log = 1 / math.log1p((num - den) / den)
+            below = 0  # floor(log_base(t - 1))
+            for t in range(2, dense_end + 1):
+                x = log(t) * per_log
+                at = int(x)
+                slop = 1e-9 * x
+                if not slop < x - at < 1 - slop:
+                    k = round(x)
+                    at = k if num ** k <= t * den ** k else k - 1
+                thresholds += [t] * (at - below)
+                below = at
+            # Sparse region: from the first power above dense_end.
             shift = 128
-            j = 1
-            lo, hi = 0, -1  # no bounds yet: seed from the exact power
+            j = len(thresholds)
+            lo, hi = _power_bounds(num, den, j, shift)
             while True:
                 f = lo >> shift
                 if f != hi >> shift:
@@ -229,7 +277,7 @@ class OrientationConfig:
     @classmethod
     def simple_additive(cls, capacity: int) -> "OrientationConfig":
         """Additive invariant on the plain graph: b = 1, eta = 1/(2 ln N)."""
-        eta = _rationalize(1.0 / (2.0 * math.log(capacity)))
+        eta = _rationalize(1.0 / (2.0 * math.log(capacity)), "eta")
         cfg = cls(capacity, eta, 1, 1, theta=1, preset=PRESET_SIMPLE_ADDITIVE)
         cfg._check_log_bound()
         return cfg
@@ -272,7 +320,7 @@ class OrientationConfig:
         whenever k+1 <= ln(1+eps)/ln(1+eps'); the density layer asserts the
         envelope directly.
         """
-        epsilon = _rationalize(epsilon)
+        epsilon = _rationalize(epsilon, "epsilon")
         if not (0 < epsilon < 1):
             raise ConfigError("epsilon must lie in (0, 1)")
         eps_prime = epsilon / 10

@@ -40,32 +40,53 @@ def parse_workload(lines) -> tuple[int, list[WorkloadOp]]:
     Raises WorkloadError with the offending line number on any structural
     problem; graph-state validity (inserting a present edge, ...) is
     enforced during replay instead, where the same line numbers are used.
+
+    Each line is split once; '+ u v' and '- u v' lines are taken first.  A
+    vertex token is converted and range-checked by ``_vertex`` the first
+    time it appears and looked up in ``ids`` after that, so a bad token
+    still fails on its first line, with that line's number.
     """
-    n = None
-    ops: list[WorkloadOp] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    numbered = enumerate(map(str.split, lines), start=1)
+    for line_no, parts in numbered:
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        if n is None:
-            if parts[0] != "n" or len(parts) != 2:
-                raise WorkloadError(line_no, "expected header 'n <N>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise WorkloadError(line_no, f"bad capacity {parts[1]!r}")
-            if n < 2:
-                raise WorkloadError(line_no, "capacity must be at least 2")
+        if parts[0] != "n" or len(parts) != 2:
+            raise WorkloadError(line_no, "expected header 'n <N>'")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise WorkloadError(line_no, f"bad capacity {parts[1]!r}")
+        if n < 2:
+            raise WorkloadError(line_no, "capacity must be at least 2")
+        break
+    else:
+        raise WorkloadError(1, "missing header 'n <N>'")
+
+    ops: list[WorkloadOp] = []
+    append = ops.append
+    new_op = tuple.__new__
+    ids: dict[str, int] = {}
+    for line_no, parts in numbered:
+        if len(parts) == 3:
+            kind, a, b = parts
+            if kind == "+" or kind == "-":
+                u = ids.get(a)
+                if u is None:
+                    u = ids[a] = _vertex(a, n, line_no)
+                v = ids.get(b)
+                if v is None:
+                    v = ids[b] = _vertex(b, n, line_no)
+                if u == v:
+                    raise WorkloadError(line_no, "self-loops are not allowed")
+                append(new_op(WorkloadOp, (line_no, kind, u, v)))
+                continue
+        elif not parts:
             continue
         kind = parts[0]
+        if kind[0] == "#":
+            continue
         if kind in ("+", "-"):
-            if len(parts) != 3:
-                raise WorkloadError(line_no, f"expected '{kind} u v'")
-            u, v = _vertex(parts[1], n, line_no), _vertex(parts[2], n, line_no)
-            if u == v:
-                raise WorkloadError(line_no, "self-loops are not allowed")
-            ops.append(WorkloadOp(line_no, kind, u, v))
+            raise WorkloadError(line_no, f"expected '{kind} u v'")
         elif kind == "?":
             if len(parts) < 2 or parts[1] not in QUERY_KINDS:
                 raise WorkloadError(
@@ -74,20 +95,17 @@ def parse_workload(lines) -> tuple[int, list[WorkloadOp]]:
             if q in ("color", "matvec"):
                 if len(parts) != 3:
                     raise WorkloadError(line_no, f"expected '? {q} <vertex>'")
-                ops.append(WorkloadOp(line_no, q,
-                                      _vertex(parts[2], n, line_no)))
+                append(WorkloadOp(line_no, q, _vertex(parts[2], n, line_no)))
             else:
                 if len(parts) != 2:
                     raise WorkloadError(line_no, f"expected '? {q}'")
-                ops.append(WorkloadOp(line_no, q))
+                append(WorkloadOp(line_no, q))
         elif kind == "!":
             if len(parts) != 2 or parts[1] != "audit":
                 raise WorkloadError(line_no, "expected '! audit'")
-            ops.append(WorkloadOp(line_no, "audit"))
+            append(WorkloadOp(line_no, "audit"))
         else:
             raise WorkloadError(line_no, f"unknown op {kind!r}")
-    if n is None:
-        raise WorkloadError(1, "missing header 'n <N>'")
     return n, ops
 
 

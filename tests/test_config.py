@@ -112,13 +112,70 @@ def _thresholds_by_exact_powers(cfg):
     return thresholds
 
 
-@pytest.mark.parametrize("preset, n", [
-    (preset, n) for preset in PRESETS for n in (2, 60, 500)
+def _thresholds_by_power_walk(cfg):
+    """Reference table for long tables, where exact powers take minutes:
+    floor((1 + slack/64)^j) one power at a time, from integer bounds
+    lo <= base^j * 2^128 <= hi carried from power to power and settled by
+    the exact power whenever they straddle an integer."""
+    base = 1 + cfg.slack / 64
+    num, den = base.numerator, base.denominator
+    limit = (cfg.capacity - 1) * cfg.b + 1
+    thresholds = [1]
+    j, lo, hi = 1, 0, -1
+    while True:
+        f = lo >> 128
+        if f != hi >> 128:
+            pn, pd = num ** j, den ** j
+            f = pn // pd
+            lo, hi = (pn << 128) // pd, -((-pn << 128) // pd)
+        if f + 1 > limit:
+            return thresholds
+        thresholds.append(f + 1)
+        j += 1
+        lo, hi = lo * num // den, -((-hi * num) // den)
+
+
+def _near_integer_log(above):
+    """A config whose base is 2^(1/100) to 30 digits, rounded up or down:
+    log_base 2 then lies within 1e-26 of 100, where a float log cannot tell
+    on which side of 100 it lies."""
+    scale = 10**30
+    lo, hi = scale, 2 * scale  # lo^100 <= 2 * scale^100 < hi^100
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** 100 <= 2 * scale ** 100:
+            lo = mid
+        else:
+            hi = mid
+    base = Fraction(hi if above else lo, scale)
+    return OrientationConfig(capacity=40, eta=64 * (base - 1), b=1, gamma=1,
+                             theta=1)
+
+
+@pytest.mark.parametrize("make, reference", [
+    pytest.param(lambda preset=preset, n=n: OrientationConfig.from_preset(
+        preset, n, epsilon=Fraction(1, 2)), _thresholds_by_exact_powers,
+        id=f"{preset}-{n}")
+    for preset in PRESETS for n in (2, 60, 500)
     # eta/b would reach 1: the preset has no config at N=2.
-    if (preset, n) != ("fast-additive", 2)])
-def test_bucket_thresholds_match_exact_powers(preset, n):
-    cfg = OrientationConfig.from_preset(preset, n, epsilon=Fraction(1, 2))
-    assert cfg.bucket_thresholds() == _thresholds_by_exact_powers(cfg)
+    if (preset, n) != ("fast-additive", 2)] + [
+    # Base 1 + 1/6400: the dense region holds 6,400 values in runs of up to
+    # 4,436 repeats, the sparse region 8,352 (n = 60) or 30,900 (n = 2000)
+    # distinct powers.
+    pytest.param(lambda n=n: OrientationConfig.eps_density(
+        n, Fraction(1, 10)), _thresholds_by_power_walk,
+        id=f"eps-density-tenth-{n}") for n in (60, 2000)
+] + [
+    pytest.param(lambda: TestBucketIndex()._cfg(),
+                 _thresholds_by_exact_powers, id="base-1.01"),
+    pytest.param(lambda: _near_integer_log(True), _thresholds_by_exact_powers,
+                 id="near-integer-log-above"),
+    pytest.param(lambda: _near_integer_log(False), _thresholds_by_exact_powers,
+                 id="near-integer-log-below"),
+])
+def test_bucket_thresholds_match_exact_powers(make, reference):
+    cfg = make()
+    assert cfg.bucket_thresholds() == reference(cfg)
 
 
 def test_invariant_ok_exactness():
@@ -149,7 +206,12 @@ def test_from_preset_round_trip():
     ({"gamma": 0}, "gamma must be positive"),
     ({"epsilon": 0}, "epsilon must lie in (0, 1)"),
     ({"epsilon": 1}, "epsilon must lie in (0, 1)"),
-], ids=["capacity", "theta", "b", "eta", "gamma", "epsilon-0", "epsilon-1"])
+    ({"epsilon": math.nan}, "epsilon must be a finite number (got nan)"),
+    ({"epsilon": math.inf}, "epsilon must be a finite number (got inf)"),
+    ({"eta": -math.inf}, "eta must be a finite number (got -inf)"),
+    ({"gamma": math.nan}, "gamma must be a finite number (got nan)"),
+], ids=["capacity", "theta", "b", "eta", "gamma", "epsilon-0", "epsilon-1",
+        "epsilon-nan", "epsilon-inf", "eta-inf", "gamma-nan"])
 def test_config_rejects_each_bad_parameter(override, message):
     params = dict(capacity=16, eta=Fraction(1, 2), b=1, gamma=1, theta=1)
     with pytest.raises(ConfigError) as err:

@@ -9,9 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dynorient
-from dynorient import OrientationConfig, WorkloadError
+from dynorient import OrientationConfig, WorkloadError, workload
 from dynorient.cli import main as cli_main
 from dynorient.harness import bench, replay
 from dynorient.oracles import (
@@ -24,6 +25,8 @@ from dynorient.oracles import (
 )
 from dynorient.workload import (
     GENERATOR_KINDS,
+    QUERY_KINDS,
+    WorkloadOp,
     generate,
     load_workload,
     parse_workload,
@@ -107,6 +110,163 @@ def test_parse_rejects_with_the_line_number(lines, line_no, message):
         parse_workload(lines)
     assert err.value.line_no == line_no
     assert str(err.value) == f"line {line_no}: {message}"
+
+
+def _reference_parse(lines):
+    """The line-at-a-time parser that parse_workload replaced: strip, test
+    for a comment, split, then convert every vertex token as it comes."""
+    def vertex(token, n, line_no):
+        try:
+            v = int(token)
+        except ValueError:
+            raise WorkloadError(line_no, f"bad vertex id {token!r}")
+        if not 0 <= v < n:
+            raise WorkloadError(line_no, f"vertex {v} outside [0, {n})")
+        return v
+
+    n = None
+    ops = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if n is None:
+            if parts[0] != "n" or len(parts) != 2:
+                raise WorkloadError(line_no, "expected header 'n <N>'")
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise WorkloadError(line_no, f"bad capacity {parts[1]!r}")
+            if n < 2:
+                raise WorkloadError(line_no, "capacity must be at least 2")
+            continue
+        kind = parts[0]
+        if kind in ("+", "-"):
+            if len(parts) != 3:
+                raise WorkloadError(line_no, f"expected '{kind} u v'")
+            u, v = vertex(parts[1], n, line_no), vertex(parts[2], n, line_no)
+            if u == v:
+                raise WorkloadError(line_no, "self-loops are not allowed")
+            ops.append(WorkloadOp(line_no, kind, u, v))
+        elif kind == "?":
+            if len(parts) < 2 or parts[1] not in QUERY_KINDS:
+                raise WorkloadError(
+                    line_no, f"unknown query {' '.join(parts[1:2])!r}")
+            q = parts[1]
+            if q in ("color", "matvec"):
+                if len(parts) != 3:
+                    raise WorkloadError(line_no, f"expected '? {q} <vertex>'")
+                ops.append(WorkloadOp(line_no, q,
+                                      vertex(parts[2], n, line_no)))
+            else:
+                if len(parts) != 2:
+                    raise WorkloadError(line_no, f"expected '? {q}'")
+                ops.append(WorkloadOp(line_no, q))
+        elif kind == "!":
+            if len(parts) != 2 or parts[1] != "audit":
+                raise WorkloadError(line_no, "expected '! audit'")
+            ops.append(WorkloadOp(line_no, "audit"))
+        else:
+            raise WorkloadError(line_no, f"unknown op {kind!r}")
+    if n is None:
+        raise WorkloadError(1, "missing header 'n <N>'")
+    return n, ops
+
+
+def _parse_outcome(parse, lines):
+    """(n, ops) with each op's type, or the error's line number and text."""
+    try:
+        n, ops = parse(lines)
+    except WorkloadError as err:
+        return "error", err.line_no, str(err)
+    return n, [(type(op), op) for op in ops]
+
+
+# Vertex tokens for a capacity of 64: plain ids, and spellings int() also
+# accepts (zero-padded, signed, an Arabic-Indic digit), so that "5" and
+# "05", "0" and "-0", "1" and "\u0661" name one vertex.  Bad tokens are a
+# non-number, a decimal and ids outside [0, 64).
+_TOKENS = st.one_of(
+    st.integers(0, 63).map(str),
+    st.sampled_from(["05", "007", "+3", "-0", "\u0661"]))
+_BAD_TOKENS = st.sampled_from(["x", "1.5", "0x1", "64", "99", "-1"])
+_GAPS = st.sampled_from([" ", "  ", "\t", " \t", "\u00a0"])
+
+
+@st.composite
+def _workload_lines(draw):
+    """Comments and blank lines, a header (or a wrong one, or none), then
+    mostly valid ops mixed with every kind of malformed line."""
+    def line(words):
+        gaps = draw(st.lists(_GAPS, min_size=len(words), max_size=len(words)))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        end = draw(st.sampled_from(["", "\n", " \n", "\t"]))
+        return lead + "".join(
+            g + w for g, w in zip([""] + gaps, words)) + end
+
+    update = st.tuples(st.sampled_from(["+", "-"]), _TOKENS, _TOKENS)
+    valid = st.one_of(
+        update, update, update, update,
+        st.tuples(st.just("?"), st.sampled_from(QUERY_KINDS[:3])),
+        st.tuples(st.just("?"), st.sampled_from(QUERY_KINDS[3:]), _TOKENS),
+        st.just(("!", "audit")),
+        st.sampled_from([(), ("#",), ("#", "+", "0", "1"), ("#x", "y")]),
+    )
+    malformed = st.one_of(
+        st.tuples(st.sampled_from(["+", "-"]), _TOKENS),
+        st.tuples(st.sampled_from(["+", "-"]), _TOKENS, _TOKENS, _TOKENS),
+        st.tuples(st.just("?"), st.sampled_from(QUERY_KINDS + ("x",)),
+                  _TOKENS, _TOKENS),
+        st.tuples(st.just("?"), st.sampled_from(QUERY_KINDS[3:])),
+        st.sampled_from([("?",), ("!",), ("!", "x"), ("!", "audit", "1")]),
+        st.tuples(st.sampled_from(["+", "-"]), _TOKENS, _BAD_TOKENS),
+        st.tuples(st.sampled_from(["+", "-"]), _BAD_TOKENS, _TOKENS),
+        st.tuples(st.sampled_from(["+", "-"]), st.just("5"), st.just("05")),
+        st.tuples(st.sampled_from(["color", "matvec"]), _BAD_TOKENS).map(
+            lambda w: ("?",) + w),
+        st.tuples(st.sampled_from(["*", "+0", "n"]), _TOKENS),
+        st.tuples(st.just("n"), st.sampled_from(["64", "x"])),
+    )
+    head = draw(st.lists(st.sampled_from(
+        [(), ("#",), ("#", "n", "64"), ("#+", "0", "1")]), max_size=3))
+    header = draw(st.one_of(
+        st.sampled_from([("n", "64"), ("n", "064")]),
+        st.sampled_from([("n", "1"), ("n", "x"), ("n",), ("n", "64", "8"),
+                         ("+", "0", "1"), None])))
+    size = draw(st.integers(0, 40))
+    body = draw(st.lists(valid, min_size=size, max_size=size))
+    for at, bad in draw(st.lists(
+            st.tuples(st.integers(0, len(body)), malformed), max_size=2)):
+        body.insert(at, bad)
+    words = head + ([header] if header is not None else []) + body
+    return [line(list(w)) for w in words]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_workload_lines())
+def test_parse_matches_the_line_at_a_time_reference(lines):
+    assert (_parse_outcome(parse_workload, lines)
+            == _parse_outcome(_reference_parse, lines))
+
+
+def test_parse_converts_each_vertex_token_once(monkeypatch):
+    # 20,000 updates name 40,000 vertex tokens; the parser converts each
+    # distinct token once and looks the rest up.
+    lines = generate("random", 500, 20000, seed=3)
+    tokens = {tok for line in lines[1:] for tok in line.split()[1:]}
+    calls = []
+    convert = workload._vertex
+
+    def counted(token, n, line_no):
+        calls.append(token)
+        return convert(token, n, line_no)
+
+    monkeypatch.setattr(workload, "_vertex", counted)
+    n, ops = parse_workload(lines)
+    assert len(ops) == 20000
+    assert len(calls) == len(set(calls)) <= len(tokens) <= n
+    assert (n, ops) == _reference_parse(lines)
 
 
 class TestGenerators:
@@ -282,11 +442,14 @@ def test_cli_end_to_end(tmp_path):
     ["generate", "--n", "1"],
     ["generate", "--kind", "star-churn", "--n", "1"],
     ["bench", "--presets", ","],
-], ids=["random-n1", "star-churn-n1", "no-presets"])
+    ["replay", "--preset", "eps-density", "--epsilon", "nan"],
+    ["replay", "--preset", "eps-density", "--epsilon", "inf"],
+], ids=["random-n1", "star-churn-n1", "no-presets", "epsilon-nan",
+        "epsilon-inf"])
 def test_cli_rejects_bad_input_with_one_error_line(argv, tmp_path, capsys):
     wl = tmp_path / "w.txt"
     wl.write_text("n 4\n+ 0 1\n")
-    argv = argv[:1] + ([str(wl)] if argv[0] == "bench" else
+    argv = argv[:1] + ([str(wl)] if argv[0] in ("bench", "replay") else
                        ["--out", str(tmp_path / "g.txt")]) + argv[1:]
     assert cli_main(argv) == 2
     err = capsys.readouterr().err.splitlines()
