@@ -74,8 +74,16 @@ def _rationalize(x, name: str) -> Fraction:
             from None
 
 
+def _check_capacity(capacity: int) -> None:
+    # The additive presets take ln N before they construct the config, and
+    # ln N is 0 at N = 1 and undefined below.
+    if capacity < 2:
+        raise ConfigError("capacity must be at least 2")
+
+
 def _log_bound(capacity: int) -> Fraction:
     """1/ln N, rationalized: the additive presets keep eta/b below it."""
+    _check_capacity(capacity)
     return 1 / _rationalize(math.log(capacity), "ln N")
 
 
@@ -127,8 +135,7 @@ class OrientationConfig:
 
     def __init__(self, capacity: int, eta, b: int, gamma, theta: int,
                  epsilon=None, preset: str = PRESET_CUSTOM):
-        if capacity < 2:
-            raise ConfigError("capacity must be at least 2")
+        _check_capacity(capacity)
         if theta not in (0, 1):
             raise ConfigError("theta must be 0 or 1")
         if b < 1:
@@ -277,6 +284,7 @@ class OrientationConfig:
     @classmethod
     def simple_additive(cls, capacity: int) -> "OrientationConfig":
         """Additive invariant on the plain graph: b = 1, eta = 1/(2 ln N)."""
+        _check_capacity(capacity)
         eta = _rationalize(1.0 / (2.0 * math.log(capacity)), "eta")
         cfg = cls(capacity, eta, 1, 1, theta=1, preset=PRESET_SIMPLE_ADDITIVE)
         cfg._check_log_bound()

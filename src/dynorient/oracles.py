@@ -1,29 +1,45 @@
 """Exact ground truth at desk scale for everything the package approximates.
 
 * ``exact_density``: maximum over nonempty S of |E[S]|/|S| by Dinkelbach /
-  Goldberg iteration on an integral max-flow network (source -> edge nodes
-  -> endpoints -> sink, capacities scaled by the guess's denominator, so
-  every comparison is exact).  The min cut at guess g is a set S
-  maximising |E[S]| - g|S|; its density is the next guess, strictly
-  larger.  The first guess is not 0 but the densest set that a greedy
-  peel of the edge list leaves behind (Charikar), which is often optimal
-  already, so most calls run a single flow.  Each flow at guess g runs on
-  the g-core only, the edges that survive repeated removal of vertices of
-  degree < g.  Lemma: every maximiser S of |E[S]| - g|S| lies in the
-  g-core, since dropping a vertex of induced degree d < g from S would
-  raise the objective by g - d > 0.  So the loop still stops only on a
-  saturating flow, and that flow still certifies the guess: it shows
-  |E[S]| <= g|S| for every S inside the core, hence by the lemma for every
-  S, so no set is denser than g (Hakimi), while the witness (the peel's
-  set or the last cut's S) reaches g.  The peel reads only the edge list,
-  so the oracle stays independent of the structures it checks.
+  Goldberg iteration; each guess g = p/q is tested by one integral
+  re-orientation flow on the vertex graph, so every comparison is exact.
+  - Network: every edge holds q units split between its endpoints, and a
+    vertex may hold at most p.  A unit moves along a -> b when a's edge
+    with b has units at a; there are no edge nodes.  All vertices fit iff
+    no set is denser than g (Hakimi): q|E[S]| <= units held in S <= p|S|.
+  - Start: each edge comes as (endpoint peeled first, other), in the
+    order of a greedy min-degree peel (Charikar).  The first endpoint
+    fills up to p and the second takes the rest, so most vertices fit
+    before any unit moves.  In plain edge order, or filling the endpoint
+    of smaller degree first, long tight graphs (a path listed backwards,
+    a ladder) start with chains of overloads that the flow then drains
+    one level per phase, in quadratic time.
+  - Flow: Dinic phases.  A BFS from every overloaded vertex labels levels
+    up to the first level with a vertex below p, and a blocking flow
+    moves units along level paths.  The path search keeps its own stack
+    and current-arc pointers: a level path can be as long as the graph,
+    past Python's recursion limit of about 1000 frames.
+  - Witness: when no vertex below p is reachable, the set R that the
+    overloaded vertices reach is denser than g.  Every edge leaving R has
+    all its units outside R (else its far end would be reached), and every
+    vertex of R holds at least p, some more, so q|E[R]| > p|R|.  R
+    is the source side of a minimum cut, so it maximises |E[S]| - g|S|;
+    its density is the next guess.
+  - The first guess is the densest set the peel leaves behind, often
+    optimal already, so most calls run one flow, and each flow runs on
+    the g-core only: the edges whose endpoints have core number >=
+    ceil(g).  Every maximiser S of |E[S]| - g|S| lies in the g-core, since
+    dropping a vertex of induced degree d < g from S raises the objective
+    by g - d > 0; so a flow in which every vertex fits still certifies g
+    for every S.  The peel reads only the edge list, so the oracle stays
+    independent of the structures it checks.
 * ``exact_min_max_outdegree``: least k admitting an orientation with all
-  out-degrees <= k, by the same loop on integers (next k = ceil of the
-  cut set's density) on the whole network; the saturated flow at the final
-  k is the witness orientation.  The loop starts at the ceiling of the
-  peel's density, a lower bound on k: some vertex of any set S holds at
-  least |E[S]|/|S| of its edges.  Picard-Queyranne duality makes this
-  ceil(exact_density), which the acceptance suite cross-checks.
+  out-degrees <= k, by the same loop on integers (q = 1, next k = ceil of
+  R's density) on the whole graph; each edge's one unit sits at its tail,
+  so the final flow is the witness orientation.  The loop starts at the
+  ceiling of the peel's density, a lower bound on k: some vertex of any
+  set S holds at least |E[S]|/|S| of its edges.  Picard-Queyranne duality
+  makes this ceil(exact_density), which the acceptance suite cross-checks.
 * ``exact_density_enum`` / ``exact_arboricity``: full subset enumeration
   with an O(2^n) shared edge-count table; cross-checks the flow oracle and
   anchors the arboricity-based bounds.
@@ -34,132 +50,143 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from fractions import Fraction
 
 from .errors import OracleLimitError
 
 # The largest n at which one exact_density call on a random graph with 2n
-# edges stays under about 100 ms (a planted K20 makes it faster: the peel
-# finds it and one flow runs on its core).
-FLOW_LIMIT_DEFAULT = 800
+# edges stays under about 100 ms, capped so that no named shape at the
+# limit is slower than the edge-node Dinic this flow replaced was on the
+# ladder at n = 800 (1.0-1.5 s).  Best of 3 calls, ms, density / min-max
+# out-degree, python 3.11 on a shared 2-CPU host (edge-node Dinic at 800):
+#   n     random, 2n edges   ladder      40-wide grid   paths, star, cycle
+#   800   10-32 (48-135)     113 / 2     34 / 2         1-2 / 1-2
+#   1600  36-57              765 / 4     127 / 7        5 / 3-6
+#   2400  89-143             1642 / 8    307 / 12       4-7 / 4-7
+FLOW_LIMIT_DEFAULT = 1600
 ENUM_LIMIT = 20
 
 
-class _Dinic:
-    """Integral max-flow on a small static network."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        adj = self.adj
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for e in adj[u]:
-                    if e[1] > 0 and level[e[0]] < 0:
-                        level[e[0]] = level[u] + 1
-                        queue.append(e[0])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(adj[u]):
-                    e = adj[u][it[u]]
-                    v = e[0]
-                    if e[1] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, e[1]))
-                        if got:
-                            e[1] -= got
-                            adj[v][e[2]][1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 62)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def source_side(self, s: int) -> set:
-        """Vertices reachable from s in the residual network."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.adj[u]:
-                if e[1] > 0 and e[0] not in seen:
-                    seen.add(e[0])
-                    queue.append(e[0])
-        return seen
-
-
-def _orientation_network(n: int, edges, p: int, q: int) -> _Dinic:
-    # source 0, edge nodes 1..m, vertices m+1..m+n, sink m+n+1.
-    m = len(edges)
-    net = _Dinic(m + n + 2)
-    t = m + n + 1
-    for i, (u, v) in enumerate(edges):
-        net.add_edge(0, 1 + i, q)
-        net.add_edge(1 + i, 1 + m + u, 2 * q)
-        net.add_edge(1 + i, 1 + m + v, 2 * q)
-    for v in range(n):
-        net.add_edge(1 + m + v, t, p)
-    return net
-
-
 def _denser_set(n: int, edges, g: Fraction):
-    """One max-flow at guess g; returns (net, S) with S maximising
-    |E[S]| - g|S|, or (net, None) when the flow saturates, i.e. no subgraph
-    is denser than g (Hakimi)."""
-    m = len(edges)
-    net = _orientation_network(n, edges, g.numerator, g.denominator)
-    if net.max_flow(0, m + n + 1) == m * g.denominator:
-        return net, None
-    side = net.source_side(0)
-    return net, [v for v in range(n) if (1 + m + v) in side]
+    """One re-orientation flow at guess g = p/q on the vertex graph.
+
+    ``edges`` lists each edge as (endpoint peeled first, other), in peel
+    order.  Returns (hold, S): hold[2i] and hold[2i + 1] are the units edge
+    i keeps at its first and its second endpoint, and S is None when every
+    vertex fits within p, i.e. no subgraph is denser than g, or else the
+    sorted set that the overloaded vertices reach, whose density is > g.
+    """
+    p, q = g.numerator, g.denominator
+    # Half 2i of edge i sits at its first endpoint, half 2i + 1 at the
+    # other; a unit on half h moves to head[h], onto half h ^ 1.
+    head = [x for a, b in edges for x in (b, a)]
+    hold = []
+    adj = [[] for _ in range(n)]
+    load = [0] * n
+    for a, b in edges:
+        take = p - load[a]
+        if take > q:
+            take = q
+        elif take < 0:
+            take = 0
+        load[a] += take
+        load[b] += q - take
+        adj[a].append(len(hold))
+        adj[b].append(len(hold) + 1)
+        hold += (take, q - take)
+    while True:
+        sources = [v for v in range(n) if load[v] > p]
+        if not sources:
+            return hold, None
+        # Levels from the overloaded vertices, up to the first level that
+        # holds a vertex with room.
+        level = [-1] * n
+        for v in sources:
+            level[v] = 0
+        reached = list(sources)
+        frontier = sources
+        depth = 0
+        while frontier and all(load[v] >= p for v in frontier):
+            depth += 1
+            nxt = []
+            for x in frontier:
+                for h in adj[x]:
+                    if hold[h]:
+                        y = head[h]
+                        if level[y] < 0:
+                            level[y] = depth
+                            nxt.append(y)
+            reached += nxt
+            frontier = nxt
+        if not frontier:
+            return hold, sorted(reached)
+        # Blocking flow along level paths, with a path stack and
+        # current-arc pointers; a dead end leaves the level graph.
+        ptr = [0] * n
+        for s in sources:
+            path = []
+            x = s
+            while load[s] > p:
+                if load[x] < p:
+                    d = min(load[s] - p, p - load[x],
+                            min(hold[h] for h in path))
+                    load[s] -= d
+                    load[x] += d
+                    for h in path:
+                        hold[h] -= d
+                        hold[h ^ 1] += d
+                    for j, h in enumerate(path):
+                        if not hold[h]:
+                            x = head[h ^ 1]
+                            del path[j:]
+                            break
+                    continue
+                arcs = adj[x]
+                want = level[x] + 1
+                for i in range(ptr[x], len(arcs)):
+                    h = arcs[i]
+                    if hold[h] and level[head[h]] == want:
+                        ptr[x] = i
+                        path.append(h)
+                        x = head[h]
+                        break
+                else:
+                    if not path:
+                        break
+                    level[x] = -1
+                    x = head[path.pop() ^ 1]
 
 
 def _peel(n: int, edges):
     """Greedy peel (Charikar): repeatedly drop a vertex of least degree,
-    the least id among equals, in O(m log n) with a heap of (degree, id)
-    whose stale items are skipped when popped.
+    the least id among equals, in O(m log n) with a heap of keys
+    degree * n + id, which order as (degree, id) pairs do; stale keys are
+    skipped when popped.
 
-    Returns (density, vertices, core) for the densest set the peel leaves
-    behind, compared exactly, with core[v] the core number of v: the
-    largest least degree seen up to v's removal.  The k-core, the largest
-    set whose induced degrees are all >= k, is {v : core[v] >= k}.
+    Returns (density, vertices, core, ordered): the densest set the peel
+    leaves behind, compared exactly; core[v], the core number of v, i.e.
+    the largest least degree seen up to v's removal (the k-core, the
+    largest set whose induced degrees are all >= k, is {v : core[v] >= k});
+    and every edge as (endpoint peeled first, other), in peel order, the
+    list the flow starts from.
     """
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     deg = [len(a) for a in adj]
-    heap = [(d, v) for v, d in enumerate(deg)]
+    heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
     alive = [True] * n
     left = n
     core = [0] * n
     order = []
+    ordered = []
     m_left = len(edges)
     best_m, best_k, best_at = m_left, n, 0
     k = 0
     while left:
-        d, v = heapq.heappop(heap)
+        d, v = divmod(heapq.heappop(heap), n)
         if not alive[v] or d != deg[v]:
             continue
         if d > k:
@@ -172,10 +199,11 @@ def _peel(n: int, edges):
         for w in adj[v]:
             if alive[w]:
                 deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+                heapq.heappush(heap, deg[w] * n + w)
+                ordered.append((v, w))
         if m_left * best_k > best_m * left:
             best_m, best_k, best_at = m_left, left, len(order)
-    return Fraction(best_m, best_k), sorted(order[best_at:]), core
+    return Fraction(best_m, best_k), sorted(order[best_at:]), core, ordered
 
 
 def exact_density(n: int, edges, limit: int = FLOW_LIMIT_DEFAULT):
@@ -191,10 +219,12 @@ def exact_density(n: int, edges, limit: int = FLOW_LIMIT_DEFAULT):
     edges = list(edges)
     if not edges:
         return Fraction(0), []
-    rho, witness, core = _peel(n, edges)
+    rho, witness, core, ordered = _peel(n, edges)
     while True:
         k = math.ceil(rho)
-        in_core = [e for e in edges if core[e[0]] >= k and core[e[1]] >= k]
+        # Core numbers never fall along the peel, so an edge is in the
+        # k-core when its first-peeled endpoint is.
+        in_core = [e for e in ordered if core[e[0]] >= k]
         found = _denser_set(n, in_core, rho)[1]
         if found is None:
             return rho, witness
@@ -221,27 +251,17 @@ def exact_min_max_outdegree(n: int, edges, limit: int = FLOW_LIMIT_DEFAULT):
         raise OracleLimitError(
             f"flow orientation oracle capped at n <= {limit}, got {n}")
     edges = list(edges)
-    m = len(edges)
-    k = math.ceil(_peel(n, edges)[0]) if edges else 0
-    net, found = _denser_set(n, edges, Fraction(k))
+    if not edges:
+        return 0, []
+    rho, _, _, edges = _peel(n, edges)
+    k = math.ceil(rho)
+    hold, found = _denser_set(n, edges, Fraction(k))
     while found is not None:
         k = math.ceil(subgraph_density(found, edges))
-        net, found = _denser_set(n, edges, Fraction(k))
-    orientation = []
-    for i, (u, v) in enumerate(edges):
-        # The edge node's unit went to exactly one endpoint: that endpoint
-        # pays sink capacity, i.e. it is the tail.
-        tail = None
-        for arc in net.adj[1 + i]:
-            if arc[0] == 1 + m + u and arc[1] < 2:
-                tail = u
-                break
-            if arc[0] == 1 + m + v and arc[1] < 2:
-                tail = v
-                break
-        if tail is None:
-            raise AssertionError("orientation witness extraction failed")
-        orientation.append((tail, v if tail == u else u))
+        hold, found = _denser_set(n, edges, Fraction(k))
+    # Each edge's one unit sits at its tail.
+    orientation = [(a, b) if hold[2 * i] else (b, a)
+                   for i, (a, b) in enumerate(edges)]
     counts = [0] * n
     for tail, _ in orientation:
         counts[tail] += 1

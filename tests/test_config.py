@@ -219,6 +219,16 @@ def test_config_rejects_each_bad_parameter(override, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("capacity", [1, 0, -3])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_presets_reject_a_capacity_below_two(preset, capacity):
+    # The additive presets take ln N before the constructor's check; at
+    # N = 1 that divided by zero and below it math.log raised ValueError.
+    with pytest.raises(ConfigError) as err:
+        OrientationConfig.from_preset(preset, capacity, epsilon=0.5)
+    assert str(err.value) == "capacity must be at least 2"
+
+
 def test_eps_density_rounds_an_odd_b_up():
     # eps' = 4/81, so 4/eps' = 81 and b rounds up to the even 82.
     cfg = OrientationConfig.eps_density(16, Fraction(40, 81))

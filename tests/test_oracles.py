@@ -1,9 +1,12 @@
 """Exact oracles: flow vs enumeration, duality, witnesses, audits."""
 
+import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynorient import (
     OracleLimitError,
@@ -11,6 +14,8 @@ from dynorient import (
     OrientationStack,
     oracles,
 )
+from dynorient.cli import main as cli_main
+from dynorient.workload import generate, parse_workload
 from dynorient.oracles import (
     FLOW_LIMIT_DEFAULT,
     audit_state,
@@ -157,7 +162,8 @@ class TestExactOrientation:
         edges = clique_edges(5) + path_edges(5, 15)
         k, _ = exact_min_max_outdegree(15, edges)
         monkeypatch.setattr(oracles, "_peel",
-                            lambda n, edges: (Fraction(0), [], [0] * n))
+                            lambda n, edges: (Fraction(0), [], [0] * n,
+                                              list(edges)))
         flows = _record_flows(monkeypatch)
         weak_k, orientation = exact_min_max_outdegree(15, edges)
         assert weak_k == k == 2
@@ -202,6 +208,7 @@ def _quadratic_peel(n, edges):
     alive = set(range(n))
     core = [0] * n
     order = []
+    ordered = []
     m_left = len(edges)
     best_m, best_k, best_at = m_left, n, 0
     k = 0
@@ -216,9 +223,10 @@ def _quadratic_peel(n, edges):
         for w in adj[v]:
             if w in alive:
                 deg[w] -= 1
+                ordered.append((v, w))
         if m_left * best_k > best_m * len(alive):
             best_m, best_k, best_at = m_left, len(alive), len(order)
-    return Fraction(best_m, best_k), sorted(order[best_at:]), core
+    return Fraction(best_m, best_k), sorted(order[best_at:]), core, ordered
 
 
 def test_heap_peel_matches_the_quadratic_reference():
@@ -324,3 +332,227 @@ def test_audit_after_fuzz_per_preset(any_preset_cfg):
     stack = OrientationStack(any_preset_cfg)
     Fuzzer(stack, seed=89).run(250)
     assert audit_state(stack) == []
+
+
+# ----------------------------------------------------------------------
+# Named shapes and the edge-node reference flow.
+# ----------------------------------------------------------------------
+
+def _shape(name, n):
+    """Edge list of a named shape on n vertices (n even; a multiple of 40
+    for the grid).  Each shape is densest as a whole."""
+    half = n // 2
+    if name == "path-descending":
+        return [(i, i + 1) for i in range(n - 2, -1, -1)]
+    if name == "path-ascending":
+        return path_edges(0, n)
+    if name == "path-shuffled":
+        edges = path_edges(0, n)
+        random.Random(n).shuffle(edges)
+        return edges
+    if name == "star":
+        return [(0, i) for i in range(1, n)]
+    if name == "cycle":
+        return path_edges(0, n) + [(n - 1, 0)]
+    if name == "ladder":
+        return (path_edges(0, half) + path_edges(half, n)
+                + [(i, half + i) for i in range(half)])
+    assert name == "grid-40"
+    rows = n // 40
+    return ([(r * 40 + c, r * 40 + c + 1)
+             for r in range(rows) for c in range(39)]
+            + [(r * 40 + c, (r + 1) * 40 + c)
+               for r in range(rows - 1) for c in range(40)])
+
+
+SHAPES = ("path-descending", "path-ascending", "path-shuffled", "star",
+          "cycle", "ladder", "grid-40")
+
+
+def _check_orientation(n, edges, k, orientation):
+    # The witness covers every edge once and its max out-degree is k.
+    assert sorted((min(a, b), max(a, b)) for a, b in orientation) \
+        == sorted((min(a, b), max(a, b)) for a, b in edges)
+    counts = [0] * n
+    for tail, _ in orientation:
+        counts[tail] += 1
+    assert max(counts, default=0) == k
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_named_shapes_at_the_flow_limit(name):
+    # The edge-node flow this oracle replaced recursed once per level of
+    # its network and raised RecursionError from n = 500 on a path listed
+    # backwards or shuffled; every shape now runs at the limit itself.
+    n = FLOW_LIMIT_DEFAULT
+    edges = _shape(name, n)
+    rho, witness = exact_density(n, edges)
+    assert rho == Fraction(len(edges), n)
+    assert subgraph_density(witness, edges) == rho
+    k, orientation = exact_min_max_outdegree(n, edges)
+    assert k == math.ceil(rho)
+    _check_orientation(n, edges, k, orientation)
+
+
+def test_replay_audits_a_path_inserted_backwards(tmp_path, capsys):
+    # The workload that used to end in RecursionError at its audit.
+    lines = (["n 500"] + [f"+ {i} {i + 1}" for i in range(498, -1, -1)]
+             + ["! audit"])
+    wl = tmp_path / "w.txt"
+    wl.write_text("\n".join(lines) + "\n")
+    assert cli_main(["replay", str(wl)]) == 0
+    assert "1 audits clean, 0 skipped" in capsys.readouterr().out
+
+
+class _ReferenceDinic:
+    """The edge-node max-flow the vertex-graph flow replaced, kept as its
+    reference: integral Dinic with a recursive path search."""
+
+    def __init__(self, n):
+        self.n = n
+        self.adj = [[] for _ in range(n)]
+
+    def add_edge(self, u, v, cap):
+        self.adj[u].append([v, cap, len(self.adj[v])])
+        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+
+    def max_flow(self, s, t):
+        flow = 0
+        adj = self.adj
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for e in adj[u]:
+                    if e[1] > 0 and level[e[0]] < 0:
+                        level[e[0]] = level[u] + 1
+                        queue.append(e[0])
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+
+            def dfs(u, pushed):
+                if u == t:
+                    return pushed
+                while it[u] < len(adj[u]):
+                    e = adj[u][it[u]]
+                    v = e[0]
+                    if e[1] > 0 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, e[1]))
+                        if got:
+                            e[1] -= got
+                            adj[v][e[2]][1] += got
+                            return got
+                    it[u] += 1
+                return 0
+
+            while True:
+                pushed = dfs(s, 1 << 62)
+                if not pushed:
+                    break
+                flow += pushed
+
+    def source_side(self, s):
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for e in self.adj[u]:
+                if e[1] > 0 and e[0] not in seen:
+                    seen.add(e[0])
+                    queue.append(e[0])
+        return seen
+
+
+def _reference_denser_set(n, edges, g):
+    """Source -> edge nodes (q each) -> endpoints (2q) -> sink (p each):
+    None when the flow saturates, else the vertices of the min cut."""
+    m = len(edges)
+    net = _ReferenceDinic(m + n + 2)
+    for i, (u, v) in enumerate(edges):
+        net.add_edge(0, 1 + i, g.denominator)
+        net.add_edge(1 + i, 1 + m + u, 2 * g.denominator)
+        net.add_edge(1 + i, 1 + m + v, 2 * g.denominator)
+    for v in range(n):
+        net.add_edge(1 + m + v, m + n + 1, g.numerator)
+    if net.max_flow(0, m + n + 1) == m * g.denominator:
+        return None
+    side = net.source_side(0)
+    return [v for v in range(n) if (1 + m + v) in side]
+
+
+def _reference_density(n, edges):
+    # Dinkelbach from 0 on the whole graph: no peel, no core.
+    rho = Fraction(0)
+    while True:
+        found = _reference_denser_set(n, edges, rho)
+        if found is None:
+            return rho
+        rho = subgraph_density(found, edges)
+
+
+def _reference_min_max_outdegree(n, edges):
+    k = 0
+    while True:
+        found = _reference_denser_set(n, edges, Fraction(k))
+        if found is None:
+            return k
+        k = math.ceil(subgraph_density(found, edges))
+
+
+def _agree_with_reference(n, edges):
+    rho, witness = exact_density(n, edges)
+    assert rho == _reference_density(n, edges)
+    if edges:
+        assert subgraph_density(witness, edges) == rho
+    k, orientation = exact_min_max_outdegree(n, edges)
+    assert k == _reference_min_max_outdegree(n, edges)
+    _check_orientation(n, edges, k, orientation)
+
+
+@st.composite
+def _graphs(draw):
+    """1 <= n <= 40 and a simple graph on it, each edge in the drawn
+    direction and order."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=160))
+    edges = {}
+    for u, v in pairs:
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), (u, v))
+    return n, list(edges.values())
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_graphs())
+def test_flow_matches_the_edge_node_reference(graph):
+    _agree_with_reference(*graph)
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_named_shapes_match_the_edge_node_reference(name):
+    _agree_with_reference(200, _shape(name, 200))
+
+
+def test_drifting_density_states_match_the_edge_node_reference():
+    # The graph after every 30th update of a drifting-density replay at
+    # n = 60, the size and audit spacing of the density benchmark.
+    lines = generate("drifting-density", 60, 6000, seed=101, clique=12)
+    n, ops = parse_workload(lines)
+    live = {}
+    updates = 0
+    for op in ops:
+        if op.kind not in "+-":
+            continue
+        key = (min(op.u, op.v), max(op.u, op.v))
+        if op.kind == "+":
+            live[key] = (op.u, op.v)
+        else:
+            del live[key]
+        updates += 1
+        if updates % 30 == 0:
+            _agree_with_reference(n, list(live.values()))
+    assert updates >= 1000
