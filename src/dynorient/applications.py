@@ -9,17 +9,24 @@ matrix-vector product.  The listener base class wires each one up: it keeps
 the layer's ``out`` lists, not the layer, which holds it as a listener; so
 a dropped stack is freed by reference counting, with no cycle.
 
-Ordered dicts play the role of the doubly-linked neighbor lists: first
-element, insertion, and deletion are all O(1).
+Ordered dicts (``in_avail``, ``free``) act as linked lists; update bounds
+count the colors and neighbors read.  Insertion and deletion are O(1).  A
+first read skips slots emptied since the last resize, O(1) amortised.
 """
 
 from __future__ import annotations
 
-import heapq
+import operator
 import weakref
 
 from .errors import GraphUpdateError
 from .rounding import OrientationListener, RoundedOrientation
+
+
+def _check_vertex(n: int, v: int) -> None:
+    """Reject a vertex id outside [0, n); list indexing rejects the rest."""
+    if not 0 <= v < n:
+        raise GraphUpdateError(f"vertex id must lie in [0, {n}); got {v}")
 
 
 class _UnionFind:
@@ -136,11 +143,12 @@ class MaximalMatching(OrientationListener):
 class GreedyColoring(OrientationListener):
     """Proper coloring with color(v) <= degree(v) at all times.
 
-    Per vertex: counts of in-neighbor colors and a lazy min-heap of in-free
-    candidates.  A recolor pops the smallest candidate that is neither
-    in-taken nor used by an out-neighbor; at most the out-degree plus one
-    pops survive validation per recolor.  A heap longer than twice the
-    degree plus two is rebuilt from its live entries.
+    Per vertex: counts of in-neighbor colors, ``taken[v]``, and ``free[v]``,
+    the colors in 0..degree(v) that no in-neighbor wears.  A recolor takes
+    the first free color no out-neighbor wears, within out-degree + 1 reads:
+    in-neighbors wear at most in-degree colors, so |free[v]| >= degree + 1 -
+    in-degree = out-degree + 1, and out-neighbors rule out at most
+    out-degree of them.  Other hooks move at most one color per free set.
     """
 
     def __init__(self, rounding: RoundedOrientation):
@@ -149,7 +157,7 @@ class GreedyColoring(OrientationListener):
         self.color = [0] * n
         self.degree = [0] * n
         self.taken = [dict() for _ in range(n)]
-        self.free_heap = [[0] for _ in range(n)]
+        self.free = [{0: None} for _ in range(n)]
 
     # -- listener hooks -------------------------------------------------
 
@@ -167,16 +175,11 @@ class GreedyColoring(OrientationListener):
 
     def on_delete(self, tail: int, head: int) -> None:
         self._in_remove(head, self.color[tail])
-        degree, free_heap = self.degree, self.free_heap
-        degree[tail] -= 1
-        degree[head] -= 1
-        if len(free_heap[tail]) > 2 * degree[tail] + 2:
-            self._prune(tail)
-        if len(free_heap[head]) > 2 * degree[head] + 2:
-            self._prune(head)
-        if self.color[tail] > degree[tail]:
+        self._shrink(tail)
+        self._shrink(head)
+        if self.color[tail] > self.degree[tail]:
             self._recolor(tail)
-        if self.color[head] > degree[head]:
+        if self.color[head] > self.degree[head]:
             self._recolor(head)
 
     def on_flip(self, tail: int, head: int) -> None:
@@ -186,51 +189,32 @@ class GreedyColoring(OrientationListener):
     # -- internals ------------------------------------------------------
 
     def _grow(self, v: int) -> None:
-        d = self.degree[v] + 1
-        self.degree[v] = d
-        if not self.taken[v].get(d):
-            # At most 2*(d-1) + 2 entries before, so no prune is due.
-            heapq.heappush(self.free_heap[v], d)
+        d = self.degree[v] = self.degree[v] + 1
+        if d not in self.taken[v]:
+            self.free[v][d] = None
+
+    def _shrink(self, v: int) -> None:
+        self.free[v].pop(self.degree[v], None)
+        self.degree[v] -= 1
 
     def _in_add(self, v: int, c: int) -> None:
         self.taken[v][c] = self.taken[v].get(c, 0) + 1
+        self.free[v].pop(c, None)
 
     def _in_remove(self, v: int, c: int) -> None:
-        cnt = self.taken[v][c] - 1
-        if cnt:
-            self.taken[v][c] = cnt
-        else:
-            del self.taken[v][c]
+        taken = self.taken[v]
+        taken[c] -= 1
+        if not taken[c]:
+            del taken[c]
             if c <= self.degree[v]:
-                heap = self.free_heap[v]
-                heapq.heappush(heap, c)
-                if len(heap) > 2 * self.degree[v] + 2:
-                    self._prune(v)
-
-    def _prune(self, v: int) -> None:
-        """Rebuild v's heap, sorted, from its live entries once each; all
-        of them are in it already, so a recolor picks the same color."""
-        deg, taken, heap = self.degree[v], self.taken[v], self.free_heap[v]
-        heap[:] = sorted({c for c in heap if c <= deg and not taken.get(c)})
+                self.free[v][c] = None
 
     def _recolor(self, v: int) -> None:
         out = self.out[v]
-        out_taken = {self.color[w] for w in out}
-        heap = self.free_heap[v]
-        taken = self.taken[v]
-        deg = self.degree[v]
-        stash = []
-        while True:
-            c = heapq.heappop(heap)
-            if c > deg or taken.get(c):
-                continue  # stale entry
-            if c in out_taken:
-                stash.append(c)
-                continue
-            break
-        stash.append(c)  # c stays in-free: v is not its own in-neighbor
-        for s in stash:
-            heapq.heappush(heap, s)
+        out_colors = {self.color[w] for w in out}
+        for c in self.free[v]:
+            if c not in out_colors:
+                break
         old = self.color[v]
         self.color[v] = c
         for w in out:
@@ -240,21 +224,32 @@ class GreedyColoring(OrientationListener):
     # -- queries and audit ----------------------------------------------
 
     def color_of(self, v: int) -> int:
+        _check_vertex(self.n, v)
         return self.color[v]
 
     def violations(self, engine) -> list[str]:
         bad = []
-        deg = [0] * len(self.color)
+        color = self.color
+        deg = [0] * self.n
         for u, v in engine.edges():
             deg[u] += 1
             deg[v] += 1
-            if self.color[u] == self.color[v]:
+            if color[u] == color[v]:
                 bad.append(f"edge ({u},{v}) is monochromatic")
+        in_colors = [dict() for _ in range(self.n)]
+        for u, heads in enumerate(self.out):
+            for w in heads:
+                in_colors[w][color[u]] = in_colors[w].get(color[u], 0) + 1
         for v, d in enumerate(deg):
-            if self.color[v] > d:
-                bad.append(f"vertex {v} wears color {self.color[v]} > degree {d}")
+            if color[v] > d:
+                bad.append(f"vertex {v} wears color {color[v]} > degree {d}")
             if d != self.degree[v]:
                 bad.append(f"vertex {v} degree bookkeeping is stale")
+            if self.taken[v] != in_colors[v]:
+                bad.append(f"vertex {v} in-neighbor color counts are stale")
+            free = set(range(self.degree[v] + 1)).difference(self.taken[v])
+            if self.free[v].keys() != free:
+                bad.append(f"vertex {v} free color set is stale")
         return bad
 
 
@@ -388,6 +383,7 @@ class MatVecProduct(OrientationListener):
         if i == j:
             raise GraphUpdateError("diagonal entries must stay zero")
         self.stack.engine._check_pair(i, j)   # before self.a is written
+        val = operator.index(val)
         key = self._key(i, j)
         old = self.a.get(key, 0)
         if old == 0 and val != 0:
@@ -401,6 +397,8 @@ class MatVecProduct(OrientationListener):
             self.a[key] = val
 
     def set_x(self, j: int, val: int) -> None:
+        _check_vertex(self.n, j)
+        val = operator.index(val)
         delta = val - self.x[j]
         if delta:
             for h in self.out[j]:
@@ -408,6 +406,7 @@ class MatVecProduct(OrientationListener):
             self.x[j] = val
 
     def query(self, i: int) -> int:
+        _check_vertex(self.n, i)
         total = self.s[i]
         x = self.x
         for h in self.out[i]:

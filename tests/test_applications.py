@@ -2,6 +2,8 @@
 
 import gc
 import random
+from functools import partial
+from itertools import islice
 
 import pytest
 
@@ -11,6 +13,7 @@ from dynorient import (
     OrientationStack,
 )
 from dynorient.oracles import audit_state
+from dynorient.workload import generate, parse_workload
 
 from conftest import Fuzzer, clique_edges
 
@@ -74,20 +77,86 @@ class TestColoring:
             fz.step()
             assert stack.coloring.violations(stack.engine) == []
 
-    def test_candidate_heaps_stay_within_twice_the_degree(self):
-        # Inserts and freed colors push candidates that only a recolor
-        # pops; without a bound, stale and repeated entries pile up with
-        # the number of updates, not with the degrees.  A delete lowers
-        # two degrees, so it must check both heaps too.
-        stack = _stack(n=64, preset="simple-multiplicative", coloring=True)
+    @pytest.mark.parametrize("run", ["star-churn-500", "star-churn-5000",
+                                     "fuzz-seed-3"])
+    def test_recolor_reads_at_most_out_degree_plus_one(self, run):
+        # A recolor takes the first color of free[v] that no out-neighbor
+        # wears: it must lie within the first out-degree + 1 entries, and
+        # free[v] never holds more than degree + 1 colors.  On star-churn
+        # the hub's degree reaches about n/2 while every simple out-degree
+        # stays 1, so neither bound may follow the degree.
+        if run.startswith("star-churn"):
+            n = int(run.rsplit("-", 1)[1])
+            stack = _stack(n=n, coloring=True)
+            _, ops = parse_workload(generate("star-churn", n, 20_000, seed=1))
+            updates = [partial(stack.insert if op.kind == "+" else
+                               stack.delete, op.u, op.v) for op in ops]
+        else:
+            stack = _stack(n=64, preset="simple-multiplicative", coloring=True)
+            updates = [Fuzzer(stack, seed=3).step] * 12_000
         coloring = stack.coloring
-        fz = Fuzzer(stack, seed=3)
-        for i in range(12_000):
-            fz.step()
-            over = [v for v, heap in enumerate(coloring.free_heap)
-                    if len(heap) > 2 * coloring.degree[v] + 2]
-            assert over == [], f"update {i}: heaps over the bound at {over}"
+        free, out, degree = coloring.free, coloring.out, coloring.degree
+        touched, misses = set(), []
+        reads = 0
+
+        def touching(method):
+            def call(v, *args):
+                touched.add(v)
+                method(v, *args)
+            return call
+
+        # Only these grow a free set or lower a degree.
+        for name in ("_grow", "_shrink", "_in_remove"):
+            setattr(coloring, name, touching(getattr(coloring, name)))
+        recolor = coloring._recolor
+
+        def bounded_recolor(v):
+            nonlocal reads
+            first = list(islice(free[v], len(out[v]) + 1))
+            recolor(v)
+            if coloring.color[v] in first:
+                reads = max(reads, first.index(coloring.color[v]) + 1)
+            else:
+                misses.append((v, first, coloring.color[v]))
+
+        coloring._recolor = bounded_recolor
+        peak = 0
+        for i, update in enumerate(updates):
+            update()
+            assert misses == [], f"update {i}: color beyond out-degree + 1"
+            over = [v for v in touched if len(free[v]) > degree[v] + 1]
+            assert over == [], f"update {i}: free sets over degree + 1: {over}"
+            touched.clear()
+            peak = max(peak, degree[0])
         assert coloring.violations(stack.engine) == []
+        if run.startswith("star-churn"):
+            assert reads == 2 == stack.max_simple_out_degree() + 1
+            assert peak > n // 3
+
+    @pytest.mark.parametrize("v, exc", [
+        (-1, GraphUpdateError), (32, GraphUpdateError), (1.0, TypeError)])
+    def test_color_of_rejects_bad_vertex_ids(self, v, exc):
+        # Negative list indexing would answer for vertex n - 1.
+        stack = _stack(coloring=True)
+        stack.insert(30, 31)
+        with pytest.raises(exc):
+            stack.coloring.color_of(v)
+
+    def test_audit_names_corrupt_color_bookkeeping(self):
+        stack = _stack(n=16, coloring=True)
+        Fuzzer(stack, seed=5).run(200)
+        coloring = stack.coloring
+        assert coloring.violations(stack.engine) == []
+        v = max(range(16), key=lambda u: len(coloring.free[u]))
+        dropped = next(iter(coloring.free[v]))
+        del coloring.free[v][dropped]
+        assert coloring.violations(stack.engine) == [
+            f"vertex {v} free color set is stale"]
+        coloring.free[v][dropped] = None
+        w, c = next((w, c) for w in range(16) for c in coloring.taken[w])
+        coloring.taken[w][c] += 1
+        assert coloring.violations(stack.engine) == [
+            f"vertex {w} in-neighbor color counts are stale"]
 
 
 class TestForests:
@@ -170,6 +239,29 @@ class TestMatVec:
         with pytest.raises(exc):
             mv.set_entry(i, j, 5)
         assert mv.a == {mv._key(1, 2): 4}
+        assert audit_state(stack) == []
+
+    @pytest.mark.parametrize("method, args, exc", [
+        ("set_x", (-1, 7), GraphUpdateError),
+        ("set_x", (6, 1), GraphUpdateError),
+        ("set_x", (2, 1.5), TypeError),
+        ("set_entry", (0, 1, 2.5), TypeError),
+        ("query", (-1,), GraphUpdateError),
+        ("query", (6,), GraphUpdateError)],
+        ids=["set_x-negative", "set_x-n", "set_x-float", "set_entry-float",
+             "query-negative", "query-n"])
+    def test_rejected_call_leaves_state_unchanged(self, method, args, exc):
+        # Negative list indexing would let set_x(-1, 7) write x[5] unseen
+        # and query(-1) answer for vertex 5; entries are integers.
+        stack = _stack(n=6, matvec=True)
+        mv = stack.matvec
+        mv.set_entry(4, 5, 3)
+        mv.set_x(5, 2)
+        before = (dict(mv.a), list(mv.x), list(mv.s))
+        with pytest.raises(exc):
+            getattr(mv, method)(*args)
+        assert (mv.a, mv.x, mv.s) == before
+        assert mv.query(4) == 6
         assert audit_state(stack) == []
 
     def test_random_updates_match_dense_recomputation(self):

@@ -40,15 +40,15 @@ BUILDERS = {
 #            simple flips, engine/rounding state hash, application hash)
 GOLDEN = {
     "simple-additive": ("af05a44f7f4d6180", 4554, 54, 0, 54,
-                        "25154d753e3b9a2d", "dce5dbdbb0b2f0f0"),
+                        "25154d753e3b9a2d", "1451de2a54159360"),
     "simple-multiplicative": ("ddc30444302c10d3", 34327, 2827, 336, 375,
-                              "6c84c386a5c02038", "4f34c44952009dd5"),
+                              "6c84c386a5c02038", "5a439465ed2ae20d"),
     "fast-additive": ("f94f52977fa9fef9", 22660, 3160, 0, 596,
-                      "51c589849c240152", "42c2777c546afdab"),
+                      "51c589849c240152", "f526cfd3052e7ca0"),
     "fast-multiplicative": ("44ba19618aa527cb", 44191, 6691, 686, 659,
-                            "4b3f7e6c92e0487f", "ad61b72d39a2e691"),
+                            "4b3f7e6c92e0487f", "55e4c63eb568d3e9"),
     "eps-density": ("218c9d051901c90a", 340594, 99094, 4494, 1303,
-                    "e62495f452a0ec77", "bd962e1f52d225d6"),
+                    "e62495f452a0ec77", "4c05a6eea273207c"),
 }
 
 # Bucket re-keys (``engine.move_bucket`` calls) on the pinned workload: the
@@ -208,7 +208,7 @@ def test_golden_replay_csv(preset):
 # which an insert refreshes rings shows in the bucket sibling order, and
 # through it in which in-neighbour each later deletion flips toward.
 DENSE_GOLDEN = ("321305b053ec08e7", 66105, 3105, 327, 416,
-                "c5abf0d379d41716", "8ac98cee55621c05")
+                "c5abf0d379d41716", "5de7dc6ce45f76eb")
 
 
 def test_golden_digest_dense_churn():
@@ -226,15 +226,15 @@ def test_golden_digest_dense_churn():
 DRIFT_N = 48
 DRIFT_GOLDEN = {
     "simple-additive": ("c01d28154b5c63c2", 3593, 89, 0, 89,
-                        "674b849f65e9b00b", "cc45073c17cf6504"),
+                        "674b849f65e9b00b", "c82ed199dce8d819"),
     "simple-multiplicative": ("7d1af81c2e174357", 26767, 2239, 24, 267,
-                              "c01b7904d5a09f17", "6926fbd28b184ea6"),
+                              "c01b7904d5a09f17", "b6b9a78d200e871b"),
     "fast-additive": ("867fcaf4f76c6ac5", 17781, 2597, 0, 492,
-                      "2f6c88e92e9a5a0a", "5f158412410173b9"),
+                      "2f6c88e92e9a5a0a", "a98050b03ce8004e"),
     "fast-multiplicative": ("aeb7e3fe39e0ff1c", 34711, 5511, 48, 545,
-                            "8bd9dfed6cc76ce3", "898e76d482cde484"),
+                            "8bd9dfed6cc76ce3", "c375a0e6e6ccdfe8"),
     "eps-density": ("7648c62c61458321", 271214, 83166, 320, 1088,
-                    "1cea439457d64fbc", "6855c6a3e0394207"),
+                    "1cea439457d64fbc", "6b0d65d757035e3e"),
 }
 DRIFT_MOVES = {
     "simple-additive": 2686,
